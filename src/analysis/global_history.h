@@ -25,9 +25,9 @@ namespace pardb::analysis {
 //  * two engines publishing the *same* (entity, version) pair is replica
 //    divergence — two stores evolved the same entity independently, so no
 //    single serial history over one database can explain the merged log.
-//    The legacy coordinator-replica execution mode fails exactly this way
-//    (its coordinator writes entities that home shards also write), which
-//    is the regression witness for the global-serializability hole.
+//    A coordinator that executed cross-shard transactions against its own
+//    replica would fail exactly this way (it writes entities that home
+//    shards also write) — the global-serializability hole D12 closed.
 class GlobalHistory {
  public:
   // Key for a transaction local to one shard.

@@ -246,7 +246,7 @@ class Engine {
   // may be called at any point between steps — mid-run admissions join the
   // StepAny/StepQuantum live set exactly as if present from the start,
   // which is what lets drivers stream arrivals in (closed-loop refill,
-  // pipelined admission) without a pre-materialized workload.
+  // epoch-boundary refill) without a pre-materialized workload.
   Result<TxnId> Spawn(txn::Program program);
   Result<TxnId> Spawn(std::shared_ptr<const txn::Program> program);
 

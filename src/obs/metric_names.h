@@ -69,27 +69,14 @@ inline constexpr char kShardStepEwmaNs[] = "pardb_shard_step_ewma_ns";
 // perfectly balanced). The ROADMAP work-stealing item's input signal.
 inline constexpr char kShardLoadSkew[] = "pardb_shard_load_skew";
 
-// Work-stealing scheduler (par::RunSharded on par::StealingPool).
+// Work-stealing pool (par::RunSharded on par::StealingPool).
 // Quanta executed on a worker other than the one that queued them.
 inline constexpr char kStealsTotal[] = "pardb_steals_total";
 // Per-worker busy/wall fraction scaled by 1000 (gauge; labeled by worker).
 inline constexpr char kWorkerUtilization[] = "pardb_worker_utilization";
-// Engine steps per scheduler quantum (histogram; shows adaptive shrink).
-inline constexpr char kQuantumSteps[] = "pardb_quantum_steps";
-
-// Admission pipeline (par::RunSharded streaming phase 1).
 // Wall seconds per driver phase, scaled by 1000 (gauge; labeled
-// {phase="generate"|"execute"|"aggregate"}; generate and execute overlap
-// in pipelined mode, so their sum may exceed the run's wall time).
+// {phase="generate"|"execute"}).
 inline constexpr char kPhaseSeconds[] = "pardb_phase_seconds";
-// Programs materialized but not yet admitted, per shard (gauge).
-inline constexpr char kAdmissionQueueDepth[] = "pardb_admission_queue_depth";
-// Producer pushes that found a full queue and had to wait (backpressure).
-inline constexpr char kAdmissionBlockedTotal[] =
-    "pardb_admission_blocked_total";
-// Deterministic lower bound on the fraction of generation work overlapped
-// with execution, scaled by 1000 (gauge; 0 in batch mode — see DESIGN D11).
-inline constexpr char kOverlapFraction[] = "pardb_overlap_fraction";
 
 // Preemption lineage (obs::LineageTracker).
 // High-water mark of any live transaction's preemption chain depth.
@@ -101,7 +88,7 @@ inline constexpr char kOmegaInterventionsTotal[] =
 // Preemption events recorded into lineage chains.
 inline constexpr char kLineageEventsTotal[] = "pardb_lineage_events_total";
 
-// Cross-shard coordination (par::XShardMode::kLocks; see DESIGN D12).
+// Cross-shard coordination (par::RunSharded; see DESIGN D12).
 inline constexpr char kXShardGlobalTxnsTotal[] = "pardb_xshard_global_txns_total";
 inline constexpr char kXShardSubTxnsTotal[] = "pardb_xshard_sub_txns_total";
 inline constexpr char kXShardGlobalCommitsTotal[] =

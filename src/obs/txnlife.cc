@@ -81,7 +81,6 @@ void TxnLifeBook::EnsureRow(std::uint64_t id) {
   cols_.commit_step.resize(n, kUnset);
   cols_.admit_ns.resize(n, 0);
   cols_.commit_ns.resize(n, 0);
-  cols_.queue_wait_ns.resize(n, 0);
   cols_.lock_wait_steps.resize(n, 0);
   cols_.block_since.resize(n, kUnset);
   cols_.exec_steps.resize(n, 0);
@@ -225,12 +224,6 @@ void TxnLifeBook::OnCommit(TxnId txn, std::uint64_t step, StateIndex pc) {
   PushEvent(e, /*always_wall=*/true);
 }
 
-void TxnLifeBook::RecordQueueWait(TxnId txn, std::uint64_t wait_ns) {
-  if (!Known(txn)) return;
-  cols_.queue_wait_ns[txn.value()] = wait_ns;
-  if (queue_wait_hist_ != nullptr) queue_wait_hist_->Record(wait_ns);
-}
-
 void TxnLifeBook::UpdateReworkGauge() {
   if (rework_ppm_ == nullptr) return;
   const std::uint64_t ppm =
@@ -265,7 +258,9 @@ void TxnLifeBook::AttachMetrics(MetricsRegistry* registry,
   lock_wait_hist_ = registry->GetHistogram(kTxnLockWaitSteps, labels);
   exec_hist_ = registry->GetHistogram(kTxnExecSteps, labels);
   redo_hist_ = registry->GetHistogram(kTxnRedoSteps, labels);
-  queue_wait_hist_ = registry->GetHistogram(kTxnQueueWaitNs, labels);
+  // Admission is materialized up front, so no program ever waits in a
+  // queue; the series stays registered (and empty) for schema stability.
+  registry->GetHistogram(kTxnQueueWaitNs, labels);
 }
 
 bool TxnLifeBook::Has(TxnId txn) const { return Known(txn); }
@@ -280,7 +275,6 @@ TxnTimelineRecord TxnLifeBook::SummaryOf(std::uint64_t id,
   r.commit_step = cols_.commit_step[id];
   r.admit_ns = cols_.admit_ns[id];
   r.commit_ns = cols_.commit_ns[id];
-  r.queue_wait_ns = cols_.queue_wait_ns[id];
   r.lock_wait_steps = cols_.lock_wait_steps[id];
   r.exec_steps = cols_.exec_steps[id];
   r.redo_steps = cols_.redo_steps[id];

@@ -87,7 +87,7 @@ struct TxnTimelineRecord {
   std::uint64_t commit_step = kUnset;
   std::uint64_t admit_ns = 0;
   std::uint64_t commit_ns = 0;
-  std::uint64_t queue_wait_ns = 0;
+  std::uint64_t queue_wait_ns = 0;  // always 0: admission never queues
   std::uint64_t lock_wait_steps = 0;
   std::uint64_t exec_steps = 0;  // ops executed, redo included
   std::uint64_t redo_steps = 0;  // sum of rollback costs (lost then redone)
@@ -146,11 +146,6 @@ class TxnLifeBook {
                   TxnId causing, std::uint64_t cycle, std::uint64_t cost);
   void OnCommit(TxnId txn, std::uint64_t step, StateIndex pc);
 
-  // Driver-side stamp: wall nanoseconds the program spent in the admission
-  // queue before Spawn (measured by the queue, carried to the book on the
-  // shard thread — no cross-thread engine reads).
-  void RecordQueueWait(TxnId txn, std::uint64_t wait_ns);
-
   // Registers the ledger metric set in `registry` (wasted-steps and
   // rollback counters per cause — eagerly, so every cause series exists at
   // 0 —, the rework-ratio gauge, the latency component histograms and the
@@ -192,7 +187,6 @@ class TxnLifeBook {
     std::vector<std::uint64_t> commit_step;
     std::vector<std::uint64_t> admit_ns;
     std::vector<std::uint64_t> commit_ns;
-    std::vector<std::uint64_t> queue_wait_ns;
     std::vector<std::uint64_t> lock_wait_steps;
     std::vector<std::uint64_t> block_since;  // kUnset when not blocked
     std::vector<std::uint64_t> exec_steps;
@@ -238,7 +232,6 @@ class TxnLifeBook {
   Histogram* lock_wait_hist_ = nullptr;
   Histogram* exec_hist_ = nullptr;
   Histogram* redo_hist_ = nullptr;
-  Histogram* queue_wait_hist_ = nullptr;
 };
 
 // JSON rendering for the live endpoints -------------------------------------

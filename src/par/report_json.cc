@@ -50,8 +50,8 @@ std::string ShardedReportToJson(const ShardedReport& report, int indent) {
      << pad << " \"xshard\":";
   {
     const xshard::XShardStats& x = report.xshard;
-    os << "{\"mode\":\"" << (report.xshard_locks ? "locks" : "replica")
-       << "\",\"epochs\":" << x.epochs << ",\"global_txns\":" << x.global_txns
+    os << "{\"mode\":\"locks\",\"epochs\":" << x.epochs
+       << ",\"global_txns\":" << x.global_txns
        << ",\"sub_txns\":" << x.sub_txns
        << ",\"sub_commits\":" << x.sub_commits
        << ",\"global_commits\":" << x.global_commits

@@ -23,68 +23,39 @@ namespace pardb::par {
 // is partitioned by entity-footprint hash (dist::SiteOfEntity) into N
 // independent core::Engine shards; each shard is a complete engine —
 // store, lock manager, waits-for graph, rollback machinery — that stays
-// single-threaded and deterministic under its own derived seed, and the
-// shards run concurrently on a ThreadPool. A transaction whose footprint
-// spans shards is routed to one designated coordinator shard, so no
-// engine is ever touched by two threads and no locking is added to the
-// engine itself.
+// single-threaded and deterministic under its own derived seed.
 //
 // The model matches §3.3's observation: conflicts confined to one site
-// are cheap, and only cross-site transactions need coordination. How a
-// cross-shard transaction is coordinated is XShardMode's choice: the
-// default (kLocks) splits it into per-shard sub-transactions that really
-// lock their slices on their home shards, with a union-of-forests merge
-// detecting global deadlocks and removing them by distributed partial
-// rollback (DESIGN D12) — serializability is then a *global* property,
-// checked over the merged commit log. The legacy mode (kReplica) keeps
-// the old shortcut — the coordinator executes cross-shard transactions
-// against its own replica — which is measurably non-serializable across
-// shards and is retained as the regression baseline.
+// are cheap, and only cross-site transactions need coordination. Every
+// run, whatever its shard count, is one epoch loop (DESIGN D12, D17): a
+// single-threaded coordinate phase (admission, 2PC polling, union-of-
+// forests merge) followed by one bounded quantum per shard on a
+// work-stealing pool. A shard-spanning transaction splits into per-shard
+// sub-transactions that really lock their slices on their home shards;
+// global deadlocks are removed by distributed partial rollback, and
+// serializability is a *global* property, checked over the merged commit
+// log. No engine is ever touched by two threads and no locking is added
+// to the engine itself.
 
-// How shard work is laid onto worker threads.
-enum class ShardScheduler {
-  // One run-to-completion task per shard: a worker picks a shard and keeps
-  // it until it finishes. Simple, but under load skew the hottest shard
-  // pins one worker while the rest go idle once the light shards drain.
-  kRunToCompletion,
-  // Cooperative time-slicing on a work-stealing pool: each shard advances
-  // in bounded quanta (at most quantum_steps engine steps), each quantum is
-  // one task, and a shard's next quantum is submitted only after the
-  // previous one returns — the in-flight task is the shard's ready token,
-  // so no engine is ever touched by two threads. Idle workers steal queued
-  // quanta, so shards migrate between workers and oversharding
-  // (num_shards > num_threads) load-balances instead of queueing. Because
-  // a shard's step sequence is independent of where its quanta run, the
-  // report stays bit-identical to kRunToCompletion.
-  kTimeSlice,
-};
-
-// How shard-spanning transactions execute.
+// How shard-spanning transactions execute. kLocks is the only mode; the
+// enumeration stays so callers that pin it keep compiling.
 enum class XShardMode {
   // Genuine distributed execution: per-shard sub-transactions under one
   // global ω position, global cycles removed by distributed partial
-  // rollback. Requires engine.handling == kDetection, runs phase 1 in
-  // batch mode (pipeline is ignored), and drives the shards in epochs —
-  // a single-threaded coordinate step followed by a parallel quantum per
-  // shard — so the report is bit-identical across worker counts.
+  // rollback. With more than one shard it requires engine.handling ==
+  // kDetection.
   kLocks,
-  // Legacy shortcut: the coordinator shard executes cross-shard
-  // transactions against its own full replica. Fast, but globally
-  // non-serializable (the replica's writes diverge from the home
-  // shards'); kept for comparison and as the regression witness.
-  kReplica,
 };
 
 struct ShardedOptions {
   std::uint32_t num_shards = 4;
-  // Shard that executes cross-shard transactions (must be < num_shards).
+  // Shard credited with cross-shard transactions in ShardResult::assigned
+  // (must be < num_shards); their slices run on their home shards.
   std::uint32_t coordinator_shard = 0;
-  // Cross-shard execution mode (see XShardMode). With a single shard the
-  // modes coincide and the driver uses the plain path.
   XShardMode xshard = XShardMode::kLocks;
-  // kLocks epoch shape: engine steps per shard per epoch, union-merge
-  // cadence in epochs, and the cap on globals concurrently in flight. All
-  // three are part of the deterministic report's identity.
+  // Epoch shape: engine steps per shard per epoch, union-merge cadence in
+  // epochs, and the cap on globals concurrently in flight. All three are
+  // part of the deterministic report's identity.
   std::uint64_t xshard_epoch_steps = 256;
   std::uint64_t xshard_merge_period = 1;
   std::uint32_t xshard_max_active_globals = 8;
@@ -108,32 +79,6 @@ struct ShardedOptions {
   bool check_serializability = true;
   Value initial_value = 100;
 
-  // Scheduling. None of these affect the report's contents (shard step
-  // sequences are quantum-invariant) — only wall-clock behaviour.
-  ShardScheduler scheduler = ShardScheduler::kTimeSlice;
-  // kTimeSlice: upper bound on engine steps per quantum.
-  std::uint64_t quantum_steps = 256;
-  // kTimeSlice: scale each shard's quantum by mean/own of the online
-  // per-shard step-time EWMAs, so hot shards (slow steps) run shorter
-  // quanta and return to the queue while stealable work is still
-  // available. Clamped to [min_quantum_steps, quantum_steps].
-  bool adaptive_quantum = true;
-  std::uint64_t min_quantum_steps = 32;
-
-  // Streaming admission (pipelined phase 1): generation + routing run on a
-  // producer thread that feeds per-shard bounded SPSC queues while shard
-  // quanta execute, so the formerly-serial phase 1 overlaps with phase 2.
-  // The producer blocks when a shard's queue is full (backpressure bounds
-  // materialized-but-unadmitted programs to num_shards *
-  // admission_queue_capacity) and closes every queue when the sweep ends
-  // (the end-of-stream token); a shard whose queue is drained-but-open
-  // yields its quantum instead of stepping, which is exactly what keeps
-  // the report byte-identical to the batch path (see DESIGN D11): a shard
-  // steps only when its multiprogramming level is topped up or the stream
-  // has ended, the same rule the batch refill loop enforces.
-  bool pipeline = true;
-  std::size_t admission_queue_capacity = 32;  // clamped to >= 1
-
   // Workload skew: when true, a shard-local transaction's home shard is
   // the home of an entity drawn Zipf(workload.zipf_theta)-distributed from
   // the full universe, so traffic concentrates on the shards that own the
@@ -156,13 +101,13 @@ struct ShardedOptions {
   bool txnlife = true;
   // Decision journal (DESIGN D14): one DecisionJournal per shard engine,
   // recording every schedule-relevant decision plus an epoch checksum
-  // chain at engine.journal_epoch_steps cadence; the kLocks path adds a
-  // coordinator journal with a 2PC-epoch stamp per merge round. Off only
-  // for overhead measurements.
+  // chain at engine.journal_epoch_steps cadence, plus a coordinator journal
+  // with a 2PC-epoch stamp per merge round. Off only for overhead
+  // measurements.
   bool journal = true;
   // Non-empty: record with unbounded rings and write each shard's journal
-  // binary to "<journal_out>.shard<k>.jrnl" (kLocks adds
-  // "<journal_out>.coord.jrnl") at the end — the `pardb journal` recording
+  // binary to "<journal_out>.shard<k>.jrnl" and the coordinator's to
+  // "<journal_out>.coord.jrnl" at the end — the `pardb journal` recording
   // mode.
   std::string journal_out;
   // Test hook: perturb every shard journal's state digest at this epoch
@@ -177,14 +122,13 @@ struct ShardedOptions {
   // Live introspection rendezvous (see obs::LiveHub; borrowed, must outlive
   // the run). When set and `instrument` is on, each shard's registry is
   // owned by the hub and registered before the pool starts, so an HTTP
-  // server scraping the hub sees live counters while the run is in flight;
-  // shards additionally publish waits-for snapshots at step boundaries
-  // (every `hub_snapshot_period` steps and once at the end), feed the
-  // per-shard step-time EWMAs behind pardb_shard_load_skew, and route
+  // server scraping the hub sees live counters while the run is in flight.
+  // At every merge round (and once at the end) the driver publishes
+  // waits-for snapshots, engine aggregates and pool metrics; shards feed
+  // the per-shard step-time EWMAs behind pardb_shard_load_skew and route
   // deadlock dumps into the hub's ring. nullptr: no live introspection, no
   // extra work on the step loop.
   obs::LiveHub* hub = nullptr;
-  std::uint64_t hub_snapshot_period = 512;  // rounded up to a power of two
 };
 
 // Deterministic per-shard seed: shards must not share RNG streams, and the
@@ -216,47 +160,23 @@ struct ShardResult {
 // How the run was scheduled onto workers. Timing-dependent by nature, so
 // it is excluded from ShardedReportToJson and ToString (which determinism
 // tests byte-compare); it still lands in the metrics registry
-// (pardb_steals_total, pardb_worker_utilization, pardb_quantum_steps).
+// (pardb_steals_total, pardb_worker_utilization).
 struct SchedulerStats {
   std::size_t num_workers = 0;
   std::uint64_t steals = 0;   // quanta executed on a non-owning worker
-  std::uint64_t quanta = 0;   // scheduling tasks executed in total
+  std::uint64_t quanta = 0;   // epochs x shards
   // busy/wall per worker, then averaged / min'd over workers.
   double mean_worker_utilization = 0.0;
   double min_worker_utilization = 0.0;
-  // Deterministic makespan model, in engine steps: greedy list-schedule of
-  // the actual submission order over the realized per-shard step counts on
-  // num_workers virtual workers (each shard is a sequential chain, so a
-  // worker runs it start to finish; the next shard goes to the
-  // earliest-free worker — exactly the pool's pull semantics with one real
-  // core per worker). Unlike the wall-clock fields this is bit-reproducible
-  // on any machine, so bench baselines pin scheduler comparisons on it.
-  std::uint64_t virtual_makespan_steps = 0;
 };
 
-// How admission was pipelined. The wall-clock fields are timing-dependent
-// and excluded from ShardedReportToJson / ToString (byte-compared by the
-// determinism tests); overlap_fraction and peak_materialized_programs in
-// *batch* mode are deterministic, and in pipelined mode overlap_fraction
-// still is (it depends only on routing counts and the queue capacity).
+// Phase timings of the run. The wall-clock fields are excluded from
+// ShardedReportToJson / ToString (byte-compared by the determinism tests).
 struct AdmissionStats {
-  bool pipelined = false;
-  std::size_t queue_capacity = 0;
-  double generate_seconds = 0.0;  // producer thread active (wall)
-  double execute_seconds = 0.0;   // pool start to pool join (wall)
-  // Deterministic lower bound on the fraction of generation work that
-  // overlapped with execution: sum over shards of max(0, assigned -
-  // capacity) / total. Program j >= capacity can only enter shard s's
-  // queue after program j - capacity was popped, i.e. after s started
-  // executing — so at least that much of the sweep ran concurrently with
-  // phase 2. Batch mode: 0.
-  double overlap_fraction = 0.0;
-  // High-water mark of programs generated but not yet admitted to an
-  // engine. Batch mode materializes everything: total_txns. Pipelined:
-  // bounded by num_shards * queue_capacity (+1 in the producer's hand).
+  double generate_seconds = 0.0;  // generation + routing sweep (wall)
+  double execute_seconds = 0.0;   // epoch loop (wall)
+  // Programs generated before any engine ran: the whole run, total_txns.
   std::uint64_t peak_materialized_programs = 0;
-  // Producer pushes that found a full queue and waited (backpressure).
-  std::uint64_t producer_blocked_pushes = 0;
 };
 
 struct ShardedReport {
@@ -277,21 +197,18 @@ struct ShardedReport {
   std::uint64_t cross_shard_txns = 0;
   double cross_shard_fraction = 0.0;
 
-  // Cross-shard execution (see XShardMode / xshard::Coordinator). In
-  // kLocks mode `committed` above counts whole transactions (a global
-  // transaction counts once, not once per slice); per-shard
-  // ShardResult::committed still counts engine commits, slices included.
-  bool xshard_locks = false;
+  // Cross-shard execution (see xshard::Coordinator). `committed` above
+  // counts whole transactions (a global transaction counts once, not once
+  // per slice); per-shard ShardResult::committed still counts engine
+  // commits, slices included.
   xshard::XShardStats xshard;
-  // kLocks only: the coordinator journal's 2PC-epoch checksum chain (one
-  // link per merge round, folding every shard's state digest). Excluded
-  // from ShardedReportToJson like the per-shard chains.
+  // The coordinator journal's 2PC-epoch checksum chain (one link per merge
+  // round, folding every shard's state digest). Excluded from
+  // ShardedReportToJson like the per-shard chains.
   std::vector<std::uint64_t> coord_journal_chain;
   // Conflict-serializability of the *merged* committed projection across
   // shards (analysis::GlobalHistory); computed whenever
-  // check_serializability is on. kLocks keeps it true; kReplica fails it
-  // as soon as the coordinator's replica writes diverge from a home
-  // shard's.
+  // check_serializability is on.
   bool global_serializable = true;
 
   double wasted_fraction = 0.0;
@@ -311,8 +228,8 @@ struct ShardedReport {
   // collect_traces).
   std::vector<std::vector<core::TraceEvent>> shard_traces;
   // Cross-shard slice index for Chrome-trace flow arrows: every (global
-  // seq, shard, local txn) slice the coordinator ever spawned. kLocks mode
-  // with collect_traces only; empty otherwise.
+  // seq, shard, local txn) slice the coordinator ever spawned. With
+  // collect_traces only; empty otherwise.
   std::vector<core::GlobalSlice> flow_slices;
   // Deadlock dumps across shards, in shard order (empty without
   // collect_forensics).
@@ -324,10 +241,10 @@ struct ShardedReport {
   std::string ToString() const;
 };
 
-// Generates the workload, routes it, runs the shards concurrently and
-// aggregates. The report is bit-identical across repeated runs with the
-// same options (thread scheduling cannot affect it: shards share nothing
-// and each is internally deterministic).
+// Generates the workload, routes it, runs the epoch loop and aggregates.
+// The report is bit-identical across repeated runs and worker counts with
+// the same options (epoch content is a pure function of the options and
+// each shard's deterministic state).
 Result<ShardedReport> RunSharded(const ShardedOptions& options);
 
 }  // namespace pardb::par

@@ -78,19 +78,6 @@ void StealingPool::Submit(std::function<void()> task) {
   work_cv_.notify_all();
 }
 
-void StealingPool::SubmitGlobal(std::function<void()> task) {
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  queued_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    inject_.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-  }
-  work_cv_.notify_all();
-}
-
 void StealingPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] {

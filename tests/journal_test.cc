@@ -310,12 +310,11 @@ TEST(JournalFileTest, WriteReadRoundTripPreservesEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded chain stability: workers {1, 4, 7} x both schedulers.
+// Sharded chain stability across worker counts {1, 4, 7}.
 // ---------------------------------------------------------------------------
 
 par::ShardedOptions JournaledSharded(std::uint64_t seed) {
   par::ShardedOptions opt;
-  opt.xshard = par::XShardMode::kReplica;
   opt.num_shards = 4;
   opt.workload.num_entities = 64;
   opt.workload.min_locks = 2;
@@ -339,11 +338,11 @@ std::vector<std::vector<std::uint64_t>> ShardChains(
   return chains;
 }
 
-TEST(JournalShardedTest, ChainsInvariantAcrossWorkerCountsAndSchedulers) {
-  // The epoch chain is keyed to each engine's own step counter, so neither
-  // the worker count nor the quantum structure of the scheduler may move a
-  // single stamp. This is the hierarchical-comparison precondition: chains
-  // from ANY two runs of a seed are comparable.
+TEST(JournalShardedTest, ChainsInvariantAcrossWorkerCounts) {
+  // The epoch chain is keyed to each engine's own step counter, so the
+  // worker count may not move a single stamp. This is the
+  // hierarchical-comparison precondition: chains from ANY two runs of a
+  // seed are comparable.
   auto base = par::RunSharded(JournaledSharded(11));
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   const auto want = ShardChains(base.value());
@@ -352,18 +351,13 @@ TEST(JournalShardedTest, ChainsInvariantAcrossWorkerCountsAndSchedulers) {
   ASSERT_GT(epochs, 0u) << "no epochs stamped — period too long for the run?";
 
   for (std::size_t workers : {1u, 4u, 7u}) {
-    for (par::ShardScheduler sched :
-         {par::ShardScheduler::kTimeSlice,
-          par::ShardScheduler::kRunToCompletion}) {
-      auto opt = JournaledSharded(11);
-      opt.num_threads = workers;
-      opt.scheduler = sched;
-      auto rep = par::RunSharded(opt);
-      ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-      EXPECT_EQ(ShardChains(rep.value()), want)
-          << "workers=" << workers << " scheduler="
-          << (sched == par::ShardScheduler::kTimeSlice ? "timeslice" : "rtc");
-    }
+    auto opt = JournaledSharded(11);
+    opt.num_threads = workers;
+    auto rep = par::RunSharded(opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_EQ(ShardChains(rep.value()), want) << "workers=" << workers;
+    EXPECT_EQ(rep->coord_journal_chain, base->coord_journal_chain)
+        << "workers=" << workers;
   }
 }
 
@@ -381,7 +375,6 @@ TEST(JournalShardedTest, ReportJsonByteIdenticalWithJournalOnAndOff) {
 
 TEST(JournalShardedTest, LocksModeCoordinatorChainIsDeterministic) {
   auto opt = JournaledSharded(17);
-  opt.xshard = par::XShardMode::kLocks;
   opt.total_txns = 120;
   auto a = par::RunSharded(opt);
   ASSERT_TRUE(a.ok()) << a.status().ToString();

@@ -1,5 +1,5 @@
-// Sharded parallel execution: routing, thread pool, determinism and
-// aggregate correctness of par::RunSharded. The whole suite is also run
+// Sharded parallel execution: routing, the work-stealing pool, determinism
+// and aggregate correctness of par::RunSharded. The whole suite is also run
 // under ThreadSanitizer in CI (-DPARDB_TSAN=ON).
 
 #include <gtest/gtest.h>
@@ -7,23 +7,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <set>
-
-#include <chrono>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/distributed.h"
 #include "obs/metric_names.h"
-#include "par/admission_queue.h"
 #include "obs/serve/hub.h"
 #include "par/report_json.h"
 #include "par/router.h"
 #include "par/sharded_driver.h"
 #include "par/stealing_pool.h"
-#include "par/thread_pool.h"
 #include "txn/program.h"
 
 namespace pardb::par {
@@ -106,30 +102,6 @@ TEST(RouterTest, ShardUniversesPartitionTheEntityRange) {
     }
   }
   EXPECT_EQ(seen.size(), kEntities);
-}
-
-TEST(ThreadPoolTest, RunsEveryTaskAcrossBatches) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();  // pool is reusable after Wait
-    EXPECT_EQ(count.load(), (batch + 1) * 100);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // ~ThreadPool waits for the queue
-  EXPECT_EQ(count.load(), 50);
 }
 
 TEST(StealingPoolTest, ReusableAcrossWaitBatches) {
@@ -238,11 +210,6 @@ TEST(StealingPoolTest, EveryTaskRunsExactlyOnceAndCountersAddUp) {
 
 ShardedOptions SmallOptions(std::uint32_t shards, std::uint64_t seed) {
   ShardedOptions opt;
-  // These tests pin the original coordinator-replica routing: their
-  // assertions (committed == assigned per shard, overlap formula, pipeline
-  // equivalence) describe that path. Locks-mode runs are covered by
-  // xshard_test.
-  opt.xshard = XShardMode::kReplica;
   opt.num_shards = shards;
   opt.workload.num_entities = 64;
   opt.workload.min_locks = 2;
@@ -259,13 +226,14 @@ ShardedOptions SmallOptions(std::uint32_t shards, std::uint64_t seed) {
 TEST(ShardedDriverTest, CommitsEveryTransactionAndStaysSerializable) {
   auto rep = RunSharded(SmallOptions(4, 11));
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  // Whole transactions: a global's slices count once.
   EXPECT_EQ(rep->committed, 120u);
   EXPECT_TRUE(rep->completed);
   EXPECT_TRUE(rep->serializable);
+  EXPECT_TRUE(rep->global_serializable);
   ASSERT_EQ(rep->shards.size(), 4u);
   std::uint64_t assigned = 0;
   for (const ShardResult& s : rep->shards) {
-    EXPECT_EQ(s.committed, s.assigned);
     EXPECT_TRUE(s.serializable);
     assigned += s.assigned;
   }
@@ -360,13 +328,11 @@ TEST(ShardedDriverTest, AggregateMatchesShardSums) {
   EXPECT_EQ(rep->rollback_costs.count, costs);
 }
 
-TEST(ShardedDriverTest, ReportBitIdenticalAcrossSchedulersWorkersAndQuanta) {
-  // The scheduler decides only *where and when* quanta run, never what a
-  // shard computes — so the report must be byte-identical across
-  // run-to-completion vs time-slicing, any worker count, any quantum size,
-  // and repeated runs.
+TEST(ShardedDriverTest, ReportBitIdenticalAcrossWorkerCounts) {
+  // Workers decide only *where* each epoch's quanta run, never what a
+  // shard computes — so the report must be byte-identical across worker
+  // counts and repeated runs.
   auto opt = SmallOptions(4, 13);
-  opt.scheduler = ShardScheduler::kTimeSlice;
   opt.num_threads = 4;
   auto golden_rep = RunSharded(opt);
   ASSERT_TRUE(golden_rep.ok());
@@ -377,48 +343,59 @@ TEST(ShardedDriverTest, ReportBitIdenticalAcrossSchedulersWorkersAndQuanta) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "repeat " << rep;
   }
-  for (auto sched : {ShardScheduler::kTimeSlice,
-                     ShardScheduler::kRunToCompletion}) {
-    for (std::size_t workers : {1u, 2u, 4u, 7u}) {
-      auto v = opt;
-      v.scheduler = sched;
-      v.num_threads = workers;
-      auto r = RunSharded(v);
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(golden, ShardedReportToJson(r.value()))
-          << "scheduler=" << (sched == ShardScheduler::kTimeSlice ? "ts" : "rtc")
-          << " workers=" << workers;
-    }
+  for (std::size_t workers : {1u, 2u, 4u, 7u}) {
+    auto v = opt;
+    v.num_threads = workers;
+    auto r = RunSharded(v);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "workers=" << workers;
   }
-  // Ragged quanta, adaptation off: still the same step sequences.
-  auto v = opt;
-  v.quantum_steps = 7;
-  v.min_quantum_steps = 1;
-  v.adaptive_quantum = false;
-  auto r = RunSharded(v);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(golden, ShardedReportToJson(r.value()));
 }
 
-TEST(ShardedDriverTest, SchedulerStatsAreFilledAndMakespanIsBounded) {
+TEST(ShardedDriverTest, SingleShardCommitsEverythingUnderAnyHandling) {
+  // A lone shard has no globals, so the epoch loop runs any deadlock
+  // handling mode, not only detection.
+  for (auto handling : {core::DeadlockHandling::kDetection,
+                        core::DeadlockHandling::kWoundWait}) {
+    auto opt = SmallOptions(1, 11);
+    opt.engine.handling = handling;
+    opt.num_threads = 1;
+    auto one = RunSharded(opt);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_EQ(one->committed, opt.total_txns);
+    EXPECT_TRUE(one->completed);
+    EXPECT_TRUE(one->serializable);
+    EXPECT_TRUE(one->global_serializable);
+    EXPECT_EQ(one->cross_shard_txns, 0u);
+    opt.num_threads = 4;
+    auto four = RunSharded(opt);
+    ASSERT_TRUE(four.ok()) << four.status().ToString();
+    EXPECT_EQ(ShardedReportToJson(one.value()),
+              ShardedReportToJson(four.value()));
+  }
+}
+
+TEST(ShardedDriverTest, SchedulerStatsAndPoolMetricsAreFilled) {
   auto opt = SmallOptions(4, 11);
-  opt.scheduler = ShardScheduler::kTimeSlice;
   opt.num_threads = 2;
-  opt.quantum_steps = 64;
   auto rep = RunSharded(opt);
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(rep->scheduler.num_workers, 2u);
-  EXPECT_GE(rep->scheduler.quanta, 4u);  // at least one per shard
-  std::uint64_t total_steps = 0, max_shard_steps = 0;
-  for (const ShardResult& s : rep->shards) {
-    total_steps += s.metrics.steps;
-    max_shard_steps = std::max(max_shard_steps, s.metrics.steps);
+  EXPECT_GE(rep->scheduler.quanta, 4u);  // at least one epoch of 4 shards
+  EXPECT_EQ(rep->scheduler.quanta % 4, 0u);
+  EXPECT_GE(rep->scheduler.mean_worker_utilization, 0.0);
+  EXPECT_LE(rep->scheduler.min_worker_utilization,
+            rep->scheduler.mean_worker_utilization);
+  // The pool's live series land in the registry at the end of the run.
+  for (const char* w : {"0", "1"}) {
+    EXPECT_NE(rep->metrics.Find(obs::kWorkerUtilization,
+                                {{obs::kWorkerLabel, w}}),
+              nullptr)
+        << "worker " << w;
   }
-  // Greedy list scheduling on 2 virtual workers: the makespan sits between
-  // perfect parallelism's lower bounds and the fully serial upper bound.
-  EXPECT_GE(rep->scheduler.virtual_makespan_steps, max_shard_steps);
-  EXPECT_GE(rep->scheduler.virtual_makespan_steps, (total_steps + 1) / 2);
-  EXPECT_LE(rep->scheduler.virtual_makespan_steps, total_steps);
+  const auto* steals = rep->metrics.Find(obs::kStealsTotal, {});
+  ASSERT_NE(steals, nullptr);
+  EXPECT_EQ(steals->counter, rep->scheduler.steals);
 }
 
 TEST(ShardedDriverTest, HotShardRoutingIsDeterministicAndChangesPlacement) {
@@ -446,21 +423,6 @@ TEST(ShardedDriverTest, HotShardRoutingIsDeterministicAndChangesPlacement) {
   EXPECT_TRUE(differs);
 }
 
-TEST(ShardedDriverTest, NonPowerOfTwoHubSnapshotPeriodRoundsUpAndPublishes) {
-  // hub_snapshot_period = 100 used to corrupt the cadence mask (100 & 99
-  // is not a power-of-two mask); it now rounds up to 128 internally.
-  obs::LiveHub hub;
-  auto opt = SmallOptions(2, 7);
-  opt.hub = &hub;
-  opt.hub_snapshot_period = 100;
-  auto rep = RunSharded(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_TRUE(rep->completed);
-  EXPECT_EQ(rep->committed, opt.total_txns);
-  auto snaps = hub.Snapshots();
-  EXPECT_EQ(snaps.size(), 2u);  // the end-of-run snapshot per shard
-}
-
 TEST(ShardedDriverTest, JsonIsWellFormedEnoughToGrep) {
   auto rep = RunSharded(SmallOptions(2, 5));
   ASSERT_TRUE(rep.ok());
@@ -472,155 +434,14 @@ TEST(ShardedDriverTest, JsonIsWellFormedEnoughToGrep) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-TEST(AdmissionQueueTest, DeliversFifoThenReportsClosedForever) {
-  AdmissionQueue q(8);
-  for (std::uint64_t e = 0; e < 5; ++e) q.Push(LockProgram({EntityId(e)}));
-  q.Close();
-  EXPECT_TRUE(q.closed());
-  txn::Program p;
-  for (std::uint64_t e = 0; e < 5; ++e) {
-    ASSERT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kItem);
-    EXPECT_EQ(p.op(0).entity, EntityId(e));  // FIFO: admission order is
-  }                                          // generation order
-  EXPECT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kClosed);
-  EXPECT_EQ(q.WaitPop(&p, std::chrono::microseconds(1)),
-            AdmissionQueue::Pop::kClosed);  // end-of-stream is sticky
-  EXPECT_EQ(q.pushed(), 5u);
-  EXPECT_EQ(q.popped(), 5u);
-}
-
-TEST(AdmissionQueueTest, BackpressureBlocksProducerWithoutDropping) {
-  // Producer blocks on a full queue, nothing is dropped, and the consumer
-  // observes the end-of-stream token exactly once. Runs under TSan in CI.
-  constexpr std::size_t kCapacity = 4;
-  constexpr std::uint64_t kItems = 64;
-  AdmissionQueue q(kCapacity);
-  std::atomic<std::uint64_t> produced{0};
-  std::thread producer([&q, &produced] {
-    for (std::uint64_t e = 0; e < kItems; ++e) {
-      q.Push(LockProgram({EntityId(e)}));
-      produced.fetch_add(1, std::memory_order_release);
-    }
-    q.Close();
-  });
-  // With no consumer the producer must wedge at capacity, not run ahead.
-  while (q.depth() < kCapacity) std::this_thread::yield();
-  EXPECT_LE(produced.load(std::memory_order_acquire), kCapacity);
-
-  txn::Program p;
-  std::uint64_t next = 0, closed_seen = 0;
-  for (;;) {
-    auto r = q.WaitPop(&p, std::chrono::microseconds(100));
-    if (r == AdmissionQueue::Pop::kEmpty) continue;
-    if (r == AdmissionQueue::Pop::kClosed) {
-      ++closed_seen;
-      break;
-    }
-    EXPECT_EQ(p.op(0).entity, EntityId(next));  // in order, none dropped
-    ++next;
-  }
-  producer.join();
-  EXPECT_EQ(next, kItems);
-  EXPECT_EQ(closed_seen, 1u);
-  EXPECT_EQ(q.pushed(), kItems);
-  EXPECT_EQ(q.popped(), kItems);
-  EXPECT_GE(q.blocked_pushes(), 1u);  // backpressure actually engaged
-  EXPECT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kClosed);
-}
-
-TEST(AdmissionQueueTest, AbandonUnblocksProducerAndDiscards) {
-  // Consumer death (shard failure) must not wedge the producer mid-sweep.
-  AdmissionQueue q(1);
-  q.Push(LockProgram({EntityId(0)}));  // queue now full
-  std::thread producer([&q] {
-    for (std::uint64_t e = 1; e < 8; ++e) q.Push(LockProgram({EntityId(e)}));
-    q.Close();
-  });
-  q.Abandon();
-  producer.join();  // every Push returned despite nobody popping
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.depth(), 0u);
-  txn::Program p;
-  EXPECT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kClosed);
-}
-
-TEST(ShardedDriverTest, PipelinedReportMatchesBatchByteForByte) {
-  // The pipelined-admission determinism contract: streaming generation
-  // through bounded queues must reproduce the batch report exactly — same
-  // routing sweep, same refill points, same step sequences — across queue
-  // capacities, worker counts, and both shard schedulers.
-  auto opt = SmallOptions(4, 13);
-  opt.pipeline = false;
-  auto batch = RunSharded(opt);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_FALSE(batch->admission.pipelined);
-  EXPECT_EQ(batch->admission.overlap_fraction, 0.0);
-  EXPECT_EQ(batch->admission.peak_materialized_programs, opt.total_txns);
-  const std::string golden = ShardedReportToJson(batch.value());
-
-  for (std::size_t capacity : {1u, 8u, 1024u}) {
-    for (std::size_t workers : {1u, 4u, 7u}) {
-      auto v = opt;
-      v.pipeline = true;
-      v.admission_queue_capacity = capacity;
-      v.num_threads = workers;
-      auto r = RunSharded(v);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_EQ(golden, ShardedReportToJson(r.value()))
-          << "capacity=" << capacity << " workers=" << workers;
-      EXPECT_TRUE(r->admission.pipelined);
-      EXPECT_EQ(r->admission.queue_capacity, capacity);
-      // Backpressure bounds materialization: one program per queue slot
-      // plus at most one in the producer's hand.
-      EXPECT_LE(r->admission.peak_materialized_programs,
-                opt.num_shards * capacity + 1);
-    }
-  }
-  // Time-sliced quanta over streaming queues: still the same report.
-  auto ts = opt;
-  ts.pipeline = true;
-  ts.scheduler = ShardScheduler::kTimeSlice;
-  ts.quantum_steps = 7;
-  ts.min_quantum_steps = 1;
-  ts.adaptive_quantum = false;
-  auto r = RunSharded(ts);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "time-sliced";
-}
-
-TEST(ShardedDriverTest, OverlapFractionIsTheDeterministicRoutingFormula) {
-  // overlap = sum over shards of max(0, assigned - capacity) / total: a
-  // function of routing counts and the capacity only, so it is exactly
-  // reproducible — the single-CPU CI proxy for pipelining effectiveness.
-  auto opt = SmallOptions(4, 17);
-  opt.admission_queue_capacity = 4;
-  auto rep = RunSharded(opt);  // pipeline defaults on
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  ASSERT_TRUE(rep->admission.pipelined);
-  std::uint64_t overflow = 0;
-  for (const ShardResult& s : rep->shards) {
-    if (s.assigned > opt.admission_queue_capacity) {
-      overflow += s.assigned - opt.admission_queue_capacity;
-    }
-  }
-  const double expected =
-      static_cast<double>(overflow) / static_cast<double>(opt.total_txns);
-  EXPECT_EQ(rep->admission.overlap_fraction, expected);
-  EXPECT_GT(rep->admission.overlap_fraction, 0.0);
-  auto again = RunSharded(opt);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->admission.overlap_fraction,
-            rep->admission.overlap_fraction);
-}
-
 TEST(ShardedDriverTest, InterimHubExportsDoNotDoubleCountTotals) {
-  // A tight snapshot cadence makes every shard export its engine
-  // aggregates many times mid-run (live /metrics quantiles). The delta
-  // exporter must still land the merged registry on the exact totals.
+  // With a hub attached every shard exports its engine aggregates at each
+  // merge round (live /metrics quantiles) — many times per run at the
+  // default merge cadence of one epoch. The delta exporter must still land
+  // the merged registry on the exact totals.
   obs::LiveHub hub;
   auto opt = SmallOptions(2, 7);
   opt.hub = &hub;
-  opt.hub_snapshot_period = 16;
   auto rep = RunSharded(opt);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   for (const ShardResult& s : rep->shards) {

@@ -177,7 +177,7 @@ TEST(TxnLifeLedgerTest, Figure2OrderedPolicyPaysOnceAndCommitsAll) {
 // Record arithmetic and the bounded event ring.
 // ---------------------------------------------------------------------------
 
-TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
+TEST(TxnLifeBookTest, RecordTracksLatencyComponents) {
   ManualClock clock(1000);
   TxnLifeBook::Options opt;
   opt.clock = &clock;
@@ -185,7 +185,6 @@ TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
 
   const TxnId t0(0);
   book.OnAdmit(t0, /*step=*/0);
-  book.RecordQueueWait(t0, /*wait_ns=*/1234);
   book.OnStep(t0, 1);
   book.OnBlock(t0, 2, EntityId(7));
   book.OnWake(t0, 5);
@@ -201,7 +200,7 @@ TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
   EXPECT_EQ(rec.first_step, 1u);
   EXPECT_EQ(rec.commit_step, 6u);
   EXPECT_EQ(rec.e2e_steps, 6u);
-  EXPECT_EQ(rec.queue_wait_ns, 1234u);
+  EXPECT_EQ(rec.queue_wait_ns, 0u);  // admission never queues
   EXPECT_EQ(rec.lock_wait_steps, 3u);  // blocked at 2, woken at 5
   EXPECT_EQ(rec.exec_steps, 2u);
   EXPECT_EQ(rec.redo_steps, 0u);
@@ -214,7 +213,7 @@ TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
   const std::string json = obs::TxnTimelineToJson(rec);
   EXPECT_NE(json.find("\"txn\":0"), std::string::npos);
   EXPECT_NE(json.find("\"committed\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"queue_wait_ns\":1234"), std::string::npos);
+  EXPECT_NE(json.find("\"queue_wait_ns\":0"), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"block\",\"step\":2"), std::string::npos);
   EXPECT_NE(json.find("\"entity\":7"), std::string::npos);
   EXPECT_NE(json.find("\"pc\":3"), std::string::npos);

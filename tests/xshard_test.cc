@@ -2,8 +2,7 @@
 // splitting, lock-free routing, the merged-history global
 // serializability checker, the engine's sub-transaction hold protocol,
 // and the locks-mode sharded driver end to end — including the
-// regression witness that the legacy coordinator-replica shortcut is
-// *not* globally serializable.
+// hand-built replica-divergence history the merged checker must reject.
 
 #include <gtest/gtest.h>
 
@@ -210,7 +209,8 @@ TEST(GlobalHistoryTest, DetectsCrossShardCycle) {
 
 TEST(GlobalHistoryTest, DetectsReplicaDivergence) {
   // Two distinct merged transactions publish the same version of the same
-  // entity: two stores evolved it independently (the kReplica hole).
+  // entity: two stores evolved it independently (what a coordinator that
+  // executed globals against a private replica would publish).
   GlobalHistory h;
   h.Add(GlobalHistory::LocalKey(0, TxnId(1)), {Wr(5, 1)});
   h.Add(GlobalHistory::LocalKey(1, TxnId(9)), {Wr(5, 1)});
@@ -294,7 +294,6 @@ TEST_P(LocksModeTest, CommitsAllAndStaysGloballySerializable) {
   EXPECT_TRUE(rep->completed);
   EXPECT_TRUE(rep->serializable);
   EXPECT_TRUE(rep->global_serializable);
-  EXPECT_TRUE(rep->xshard_locks);
   // Every admitted global retired: all slices spawned were committed.
   EXPECT_EQ(rep->xshard.global_txns, rep->cross_shard_txns);
   EXPECT_EQ(rep->xshard.global_commits, rep->xshard.global_txns);
@@ -362,22 +361,6 @@ TEST(LocksModeTest, ResolvesGlobalCyclesByDistributedPartialRollback) {
   // 2PC accounting covers at least every slice of every global.
   EXPECT_GE(rep->xshard.messages,
             2 * (rep->xshard.prepares + rep->xshard.resolves));
-}
-
-TEST(LocksModeTest, ReplicaModeIsFlaggedGloballyNonSerializable) {
-  // The regression witness for the hole this layer closes: the legacy
-  // coordinator-replica shortcut executes cross-shard transactions against
-  // the coordinator's private replica, so its writes diverge from the home
-  // shards' stores. Per-shard histories stay serializable — only the
-  // merged checker sees the hole.
-  auto opt = ContestedLocksOptions(5);
-  opt.xshard = XShardMode::kReplica;
-  auto rep = RunSharded(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_TRUE(rep->serializable);  // every per-shard projection: fine
-  EXPECT_FALSE(rep->xshard_locks);
-  EXPECT_FALSE(rep->global_serializable) << "the replica shortcut must be "
-                                            "flagged by the merged checker";
 }
 
 TEST(LocksModeTest, RequiresDeadlockDetection) {

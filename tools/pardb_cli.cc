@@ -505,17 +505,13 @@ int RunObserve(const Flags& flags) {
   return rc;
 }
 
-// `pardb parallel` — the sim workload sharded over N engines on a
-// work-stealing pool (src/par). Extra flags: --shards, --threads (0 = one
-// per shard; oversharding --shards > --threads load-balances via
-// stealing), --cross (fraction of transactions drawn across shard
-// boundaries), --scheduler=timeslice|rtc, --quantum-steps,
-// --min-quantum-steps, --no-adaptive-quantum, --hot-routing (route local
-// transactions to Zipf-hot shards), --pipeline / --no-pipeline (streaming
-// admission, on by default), --queue-capacity (per-shard admission queue
-// bound), --xshard=locks|replica (true shard-spanning transactions with
-// distributed partial rollback, or the legacy coordinator-replica
-// shortcut), --json=FILE (write the machine-readable report).
+// `pardb parallel` — the sim workload sharded over N engines, run as one
+// epoch loop on a work-stealing pool (src/par): shard-spanning
+// transactions split into per-shard slices, global deadlocks removed by
+// distributed partial rollback. Extra flags: --shards, --threads (0 = one
+// per shard), --cross (fraction of transactions drawn across shard
+// boundaries), --coordinator, --hot-routing (route local transactions to
+// Zipf-hot shards), --json=FILE (write the machine-readable report).
 int RunParallel(const Flags& flags) {
   auto sim_opt = BuildSimOptions(flags);
   if (!sim_opt.ok()) {
@@ -540,38 +536,7 @@ int RunParallel(const Flags& flags) {
   opt.num_shards = static_cast<std::uint32_t>(shards.value());
   opt.num_threads = static_cast<std::size_t>(threads.value());
   opt.cross_shard_fraction = cross.value();
-  const std::string sched = flags.GetString("scheduler", "timeslice");
-  if (sched == "rtc") {
-    opt.scheduler = par::ShardScheduler::kRunToCompletion;
-  } else if (sched == "timeslice") {
-    opt.scheduler = par::ShardScheduler::kTimeSlice;
-  } else {
-    std::fprintf(stderr, "unknown --scheduler=%s (timeslice|rtc)\n",
-                 sched.c_str());
-    return 2;
-  }
-  auto quantum = flags.GetInt("quantum-steps", 256);
-  auto min_quantum = flags.GetInt("min-quantum-steps", 32);
-  if (!quantum.ok() || !min_quantum.ok()) return 2;
-  opt.quantum_steps = static_cast<std::uint64_t>(quantum.value());
-  opt.min_quantum_steps = static_cast<std::uint64_t>(min_quantum.value());
-  opt.adaptive_quantum = !flags.GetBool("no-adaptive-quantum", false);
   opt.hot_shard_routing = flags.GetBool("hot-routing", false);
-  opt.pipeline =
-      flags.GetBool("pipeline", true) && !flags.GetBool("no-pipeline", false);
-  auto qcap = flags.GetInt("queue-capacity", 32);
-  if (!qcap.ok()) return 2;
-  opt.admission_queue_capacity = static_cast<std::size_t>(qcap.value());
-  const std::string xshard = flags.GetString("xshard", "locks");
-  if (xshard == "locks") {
-    opt.xshard = par::XShardMode::kLocks;
-  } else if (xshard == "replica") {
-    opt.xshard = par::XShardMode::kReplica;
-  } else {
-    std::fprintf(stderr, "unknown --xshard=%s (locks|replica)\n",
-                 xshard.c_str());
-    return 2;
-  }
   const ObsOutputs outs = GetObsOutputs(flags);
   auto serve = GetServeConfig(flags);
   if (!serve.ok()) {
@@ -586,7 +551,7 @@ int RunParallel(const Flags& flags) {
   if (serve->enabled) {
     opt.hub = &hub;
     opt.instrument = true;  // live /metrics needs the per-shard registries
-    hub.SetRunInfo(MakeRunInfo(opt.seed, opt.num_shards, sched, "parallel"));
+    hub.SetRunInfo(MakeRunInfo(opt.seed, opt.num_shards, "epoch", "parallel"));
     auto started = StartIntrospectionServer(&hub, serve->port);
     if (!started.ok()) {
       std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
@@ -603,41 +568,33 @@ int RunParallel(const Flags& flags) {
   }
   std::printf("%s\n", report->ToString().c_str());
   std::printf("scheduler: workers=%zu quanta=%llu steals=%llu "
-              "util(mean=%.2f min=%.2f) virtual_makespan=%llu\n",
+              "util(mean=%.2f min=%.2f)\n",
               report->scheduler.num_workers,
               (unsigned long long)report->scheduler.quanta,
               (unsigned long long)report->scheduler.steals,
               report->scheduler.mean_worker_utilization,
-              report->scheduler.min_worker_utilization,
-              (unsigned long long)report->scheduler.virtual_makespan_steps);
-  std::printf("admission: pipelined=%s queue_capacity=%zu overlap=%.3f "
-              "peak_materialized=%llu blocked_pushes=%llu "
-              "generate_s=%.3f execute_s=%.3f\n",
-              report->admission.pipelined ? "yes" : "no",
-              report->admission.queue_capacity,
-              report->admission.overlap_fraction,
+              report->scheduler.min_worker_utilization);
+  std::printf("admission: peak_materialized=%llu generate_s=%.3f "
+              "execute_s=%.3f\n",
               (unsigned long long)report->admission.peak_materialized_programs,
-              (unsigned long long)report->admission.producer_blocked_pushes,
               report->admission.generate_seconds,
               report->admission.execute_seconds);
-  if (report->xshard_locks) {
-    const par::xshard::XShardStats& x = report->xshard;
-    std::printf("xshard: mode=locks epochs=%llu globals=%llu subs=%llu "
-                "merges=%llu global_cycles=%llu distributed_rollbacks=%llu "
-                "omega_exclusions=%llu prepares=%llu resolves=%llu "
-                "messages=%llu global_serializable=%s\n",
-                (unsigned long long)x.epochs,
-                (unsigned long long)x.global_txns,
-                (unsigned long long)x.sub_txns,
-                (unsigned long long)x.merges,
-                (unsigned long long)x.global_cycles,
-                (unsigned long long)x.distributed_rollbacks,
-                (unsigned long long)x.omega_exclusions,
-                (unsigned long long)x.prepares,
-                (unsigned long long)x.resolves,
-                (unsigned long long)x.messages,
-                report->global_serializable ? "yes" : "NO");
-  }
+  const par::xshard::XShardStats& x = report->xshard;
+  std::printf("xshard: mode=locks epochs=%llu globals=%llu subs=%llu "
+              "merges=%llu global_cycles=%llu distributed_rollbacks=%llu "
+              "omega_exclusions=%llu prepares=%llu resolves=%llu "
+              "messages=%llu global_serializable=%s\n",
+              (unsigned long long)x.epochs,
+              (unsigned long long)x.global_txns,
+              (unsigned long long)x.sub_txns,
+              (unsigned long long)x.merges,
+              (unsigned long long)x.global_cycles,
+              (unsigned long long)x.distributed_rollbacks,
+              (unsigned long long)x.omega_exclusions,
+              (unsigned long long)x.prepares,
+              (unsigned long long)x.resolves,
+              (unsigned long long)x.messages,
+              report->global_serializable ? "yes" : "NO");
   LingerThenStop(server.get(), serve->linger);
   for (const par::ShardResult& s : report->shards) {
     std::printf("  shard %u%s: assigned=%llu committed=%llu deadlocks=%llu "
