@@ -1,9 +1,9 @@
 #include "core/vertex_cut.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
-#include <set>
 
 namespace pardb::core {
 
@@ -11,116 +11,133 @@ namespace {
 
 constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
 
-// Greedy weighted hitting set: repeatedly pick the member covering the most
-// uncovered cycles per unit cost.
-VertexCutResult Greedy(const std::vector<std::vector<std::size_t>>& cycles,
-                       const std::vector<std::uint64_t>& costs) {
-  VertexCutResult result;
-  result.exact = false;
-  std::vector<bool> covered(cycles.size(), false);
-  std::size_t remaining = cycles.size();
-  std::set<std::size_t> chosen;
-  while (remaining > 0) {
-    std::size_t best = SIZE_MAX;
-    double best_ratio = -1.0;
-    for (std::size_t i = 0; i < cycles.size(); ++i) {
-      if (covered[i]) continue;
-      for (std::size_t m : cycles[i]) {
-        if (chosen.count(m)) continue;
-        std::size_t gain = 0;
-        for (std::size_t j = 0; j < cycles.size(); ++j) {
-          if (!covered[j] &&
-              std::find(cycles[j].begin(), cycles[j].end(), m) !=
-                  cycles[j].end()) {
-            ++gain;
-          }
-        }
-        const double denom = static_cast<double>(costs[m]) + 1.0;
-        const double ratio = static_cast<double>(gain) / denom;
-        if (ratio > best_ratio || (ratio == best_ratio && m < best)) {
-          best_ratio = ratio;
-          best = m;
-        }
-      }
-    }
-    if (best == SIZE_MAX) break;  // no coverable cycle left (empty cycle?)
-    chosen.insert(best);
-    result.total_cost += costs[best];
-    for (std::size_t j = 0; j < cycles.size(); ++j) {
-      if (!covered[j] && std::find(cycles[j].begin(), cycles[j].end(), best) !=
-                             cycles[j].end()) {
-        covered[j] = true;
-        --remaining;
-      }
-    }
-  }
-  result.members.assign(chosen.begin(), chosen.end());
-  return result;
+}  // namespace
+
+void VertexCutSolver::Reset(std::size_t num_members, std::size_t num_cycles) {
+  num_members_ = num_members;
+  num_cycles_ = num_cycles;
+  words_ = (num_cycles + 63) / 64;
+  costs_.assign(num_members, 0);
+  rows_.assign(num_members * words_, 0);
 }
 
-// Exact branch and bound on the first uncovered cycle.
-void Branch(const std::vector<std::vector<std::size_t>>& cycles,
-            const std::vector<std::uint64_t>& costs,
-            std::set<std::size_t>& chosen, std::uint64_t cost_so_far,
-            std::uint64_t& best_cost, std::set<std::size_t>& best_set) {
-  if (cost_so_far >= best_cost) return;
-  // Find the first cycle not hit by `chosen`.
-  const std::vector<std::size_t>* open = nullptr;
-  for (const auto& cycle : cycles) {
-    bool hit = false;
-    for (std::size_t m : cycle) {
-      if (chosen.count(m)) {
-        hit = true;
-        break;
+// Greedy weighted hitting set: repeatedly pick the member covering the most
+// uncovered cycles per unit cost. Members are scanned in ascending index
+// order and only a strictly better ratio replaces the pick, so ties go to
+// the lowest index.
+void VertexCutSolver::Greedy() {
+  result_.members.clear();
+  result_.total_cost = 0;
+  result_.exact = false;
+  uncovered_.assign(words_, ~std::uint64_t{0});
+  if (num_cycles_ % 64 != 0) {
+    uncovered_.back() = (std::uint64_t{1} << (num_cycles_ % 64)) - 1;
+  }
+  for (;;) {
+    std::size_t best = SIZE_MAX;
+    double best_ratio = -1.0;
+    for (std::size_t m = 0; m < num_members_; ++m) {
+      const std::uint64_t* row = Row(m);
+      std::size_t gain = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        gain += static_cast<std::size_t>(std::popcount(row[w] & uncovered_[w]));
+      }
+      if (gain == 0) continue;
+      const double denom = static_cast<double>(costs_[m]) + 1.0;
+      const double ratio = static_cast<double>(gain) / denom;
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        best = m;
       }
     }
-    if (!hit) {
-      open = &cycle;
+    // Done when every cycle is cut, or when the uncovered ones have no
+    // member at all (an empty cycle).
+    if (best == SIZE_MAX) break;
+    result_.members.push_back(best);
+    result_.total_cost += costs_[best];
+    const std::uint64_t* row = Row(best);
+    for (std::size_t w = 0; w < words_; ++w) uncovered_[w] &= ~row[w];
+  }
+  std::sort(result_.members.begin(), result_.members.end());
+}
+
+// Exact branch and bound on the first cycle the current choice leaves open.
+void VertexCutSolver::Branch(std::size_t depth, std::uint64_t cost_so_far) {
+  if (cost_so_far >= best_cost_) return;
+  const std::uint64_t* hit = hits_.data() + depth * words_;
+  std::size_t open = num_cycles_;
+  for (std::size_t w = 0; w < words_; ++w) {
+    if (~hit[w] != 0) {
+      open = w * 64 + static_cast<std::size_t>(std::countr_zero(~hit[w]));
       break;
     }
   }
-  if (open == nullptr) {
-    best_cost = cost_so_far;
-    best_set = chosen;
+  if (open >= num_cycles_) {
+    best_cost_ = cost_so_far;
+    result_.members.assign(chosen_.begin(), chosen_.end());
     return;
   }
-  for (std::size_t m : *open) {
-    if (chosen.count(m)) continue;
-    chosen.insert(m);
-    Branch(cycles, costs, chosen, cost_so_far + costs[m], best_cost, best_set);
-    chosen.erase(m);
+  const std::size_t open_word = open / 64;
+  const std::uint64_t open_bit = std::uint64_t{1} << (open % 64);
+  std::uint64_t* child = hits_.data() + (depth + 1) * words_;
+  for (std::size_t m = 0; m < num_members_; ++m) {
+    const std::uint64_t* row = Row(m);
+    if ((row[open_word] & open_bit) == 0) continue;
+    for (std::size_t w = 0; w < words_; ++w) child[w] = hit[w] | row[w];
+    chosen_.push_back(m);
+    Branch(depth + 1, cost_so_far + costs_[m]);
+    chosen_.pop_back();
   }
 }
 
-}  // namespace
+const VertexCutResult& VertexCutSolver::Solve(std::size_t exact_limit) {
+  if (num_cycles_ == 0) {
+    result_.members.clear();
+    result_.total_cost = 0;
+    result_.exact = true;
+    return result_;
+  }
+  std::size_t distinct = 0;
+  for (std::size_t m = 0; m < num_members_; ++m) {
+    const std::uint64_t* row = Row(m);
+    distinct += std::any_of(row, row + words_,
+                            [](std::uint64_t w) { return w != 0; });
+  }
+
+  // Seed the bound with the greedy solution, then branch.
+  Greedy();
+  if (distinct > exact_limit) return result_;
+  best_cost_ = result_.members.empty() ? kInf : result_.total_cost;
+  // Each depth cuts at least one more cycle with one more member, so the
+  // search is at most min(members, cycles) deep; one spare level holds the
+  // child mask of the deepest node. Bits past num_cycles_ in the last word
+  // start set, so they never read as an open cycle.
+  const std::size_t max_depth = std::min(num_members_, num_cycles_);
+  hits_.assign((max_depth + 2) * words_, 0);
+  if (num_cycles_ % 64 != 0) {
+    hits_[words_ - 1] = ~((std::uint64_t{1} << (num_cycles_ % 64)) - 1);
+  }
+  chosen_.clear();
+  Branch(0, 0);
+  std::sort(result_.members.begin(), result_.members.end());
+  result_.total_cost = best_cost_ == kInf ? 0 : best_cost_;
+  result_.exact = true;
+  return result_;
+}
 
 VertexCutResult SolveVertexCut(
     const std::vector<std::vector<std::size_t>>& cycles,
     const std::vector<std::uint64_t>& costs, std::size_t exact_limit) {
-  VertexCutResult result;
-  if (cycles.empty()) return result;
-
-  std::set<std::size_t> distinct;
-  for (const auto& c : cycles) distinct.insert(c.begin(), c.end());
-  for (std::size_t m : distinct) {
-    assert(m < costs.size());
-    (void)m;
+  VertexCutSolver solver;
+  solver.Reset(costs.size(), cycles.size());
+  for (std::size_t m = 0; m < costs.size(); ++m) solver.SetCost(m, costs[m]);
+  for (std::size_t c = 0; c < cycles.size(); ++c) {
+    for (std::size_t m : cycles[c]) {
+      assert(m < costs.size());
+      solver.Add(m, c);
+    }
   }
-
-  if (distinct.size() > exact_limit) return Greedy(cycles, costs);
-
-  // Seed the bound with the greedy solution, then branch.
-  VertexCutResult greedy = Greedy(cycles, costs);
-  std::uint64_t best_cost = greedy.members.empty() ? kInf : greedy.total_cost;
-  std::set<std::size_t> best_set(greedy.members.begin(),
-                                 greedy.members.end());
-  std::set<std::size_t> chosen;
-  Branch(cycles, costs, chosen, 0, best_cost, best_set);
-
-  result.members.assign(best_set.begin(), best_set.end());
-  result.total_cost = best_cost == kInf ? 0 : best_cost;
-  result.exact = true;
-  return result;
+  return solver.Solve(exact_limit);
 }
 
 }  // namespace pardb::core

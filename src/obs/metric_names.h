@@ -46,6 +46,8 @@ inline constexpr char kWaitingTxns[] = "pardb_waiting_txns";
 inline constexpr char kRollbackCostOps[] = "pardb_rollback_cost_ops";
 
 // Probe-registered live metrics (obs::MakeEngineProbe / MakeLockProbe).
+// Wall ns of one deadlock-detection round: enumeration, candidate build
+// and victim choice including the vertex cut (not the rollbacks).
 inline constexpr char kDetectionNs[] = "pardb_detection_ns";
 inline constexpr char kRollbackApplyNs[] = "pardb_rollback_apply_ns";
 inline constexpr char kLockOpNs[] = "pardb_lock_op_ns";

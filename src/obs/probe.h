@@ -25,7 +25,10 @@ struct EngineProbe {
   const Clock* clock = nullptr;
 
   // Phase latency histograms (nanoseconds).
-  Histogram* detection_ns = nullptr;      // one cycle-enumeration round
+  // One deadlock-detection round: cycle enumeration, victim-candidate
+  // build and victim choice (the §3.2 vertex cut included), up to the
+  // first rollback.
+  Histogram* detection_ns = nullptr;
   Histogram* rollback_apply_ns = nullptr;  // one RollbackTxn application
   Histogram* lock_op_ns = nullptr;        // one lock-manager Request (sampled)
 

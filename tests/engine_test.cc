@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "analysis/history.h"
+#include "common/random.h"
 #include "core/engine.h"
 #include "core/vertex_cut.h"
 #include "core/victim_policy.h"
@@ -691,6 +697,312 @@ TEST(VertexCutTest, ExactBeatsGreedyOnAdversarialInstance) {
       SolveVertexCut({{0, 2}, {1, 2}}, {1, 1, 3}, /*exact_limit=*/10);
   EXPECT_EQ(exact.total_cost, 2u);
   EXPECT_EQ(exact.members, (std::vector<std::size_t>{0, 1}));
+}
+
+// ---------------------------------------------------------------------------
+// Vertex cut: properties against brute force and a list-based transcription
+// ---------------------------------------------------------------------------
+
+using Cycles = std::vector<std::vector<std::size_t>>;
+
+bool Covers(const Cycles& cycles, const std::vector<std::size_t>& cut) {
+  for (const auto& cycle : cycles) {
+    bool hit = false;
+    for (std::size_t m : cycle) {
+      hit = hit || std::find(cut.begin(), cut.end(), m) != cut.end();
+    }
+    if (!hit) return false;
+  }
+  return true;
+}
+
+// Minimum cut cost over every subset of members (at most ~12 of them).
+std::uint64_t BruteForceCutCost(const Cycles& cycles,
+                                const std::vector<std::uint64_t>& costs) {
+  std::uint64_t best = ~std::uint64_t{0};
+  for (std::uint32_t mask = 0; mask < (1u << costs.size()); ++mask) {
+    std::vector<std::size_t> cut;
+    std::uint64_t cost = 0;
+    for (std::size_t m = 0; m < costs.size(); ++m) {
+      if ((mask >> m) & 1u) {
+        cut.push_back(m);
+        cost += costs[m];
+      }
+    }
+    if (cost < best && Covers(cycles, cut)) best = cost;
+  }
+  return best;
+}
+
+// The cut rules spelled out over member lists: greedy takes the largest
+// gain / (cost + 1), then the lowest index; branch and bound tries the
+// first open cycle's members in listed order and keeps a strictly cheaper
+// cut. The bitset solver must choose exactly this set.
+struct ListCut {
+  ListCut(const Cycles& c, const std::vector<std::uint64_t>& k)
+      : cycles(c), costs(k) {}
+
+  const Cycles& cycles;
+  const std::vector<std::uint64_t>& costs;
+  std::set<std::size_t> chosen;
+  std::uint64_t best_cost = ~std::uint64_t{0};
+  std::set<std::size_t> best;
+
+  bool Hit(const std::vector<std::size_t>& cycle,
+           const std::set<std::size_t>& set) const {
+    for (std::size_t m : cycle) {
+      if (set.count(m)) return true;
+    }
+    return false;
+  }
+  std::uint64_t Greedy(std::set<std::size_t>* out) const {
+    std::uint64_t total = 0;
+    for (;;) {
+      std::size_t pick = SIZE_MAX;
+      double pick_ratio = -1.0;
+      for (const auto& cycle : cycles) {
+        if (Hit(cycle, *out)) continue;
+        for (std::size_t m : cycle) {
+          std::size_t gain = 0;
+          for (const auto& other : cycles) {
+            if (!Hit(other, *out) &&
+                std::find(other.begin(), other.end(), m) != other.end()) {
+              ++gain;
+            }
+          }
+          const double ratio = static_cast<double>(gain) /
+                               (static_cast<double>(costs[m]) + 1.0);
+          if (ratio > pick_ratio || (ratio == pick_ratio && m < pick)) {
+            pick_ratio = ratio;
+            pick = m;
+          }
+        }
+      }
+      if (pick == SIZE_MAX) return total;
+      out->insert(pick);
+      total += costs[pick];
+    }
+  }
+  void Branch(std::uint64_t cost) {
+    if (cost >= best_cost) return;
+    for (const auto& cycle : cycles) {
+      if (Hit(cycle, chosen)) continue;
+      for (std::size_t m : cycle) {
+        chosen.insert(m);
+        Branch(cost + costs[m]);
+        chosen.erase(m);
+      }
+      return;
+    }
+    best_cost = cost;
+    best = chosen;
+  }
+  VertexCutResult Solve(std::size_t exact_limit) {
+    std::set<std::size_t> greedy;
+    const std::uint64_t greedy_cost = Greedy(&greedy);
+    std::set<std::size_t> distinct;
+    for (const auto& c : cycles) distinct.insert(c.begin(), c.end());
+    VertexCutResult r;
+    if (distinct.size() > exact_limit) {
+      r.members.assign(greedy.begin(), greedy.end());
+      r.total_cost = greedy_cost;
+      r.exact = false;
+      return r;
+    }
+    best = greedy;
+    best_cost = greedy.empty() ? ~std::uint64_t{0} : greedy_cost;
+    Branch(0);
+    r.members.assign(best.begin(), best.end());
+    r.total_cost = best.empty() ? 0 : best_cost;
+    return r;
+  }
+};
+
+VertexCutResult ListSolve(const Cycles& cycles,
+                          const std::vector<std::uint64_t>& costs,
+                          std::size_t exact_limit) {
+  return ListCut(cycles, costs).Solve(exact_limit);
+}
+
+// Random instance: `num_cycles` cycles over `members` members, each a
+// sorted set of 1..4 members plus member 0 (the requester) on every cycle
+// when `requester` is set, capped at all `members`.
+void RandomInstance(Rng& rng, std::size_t members, std::size_t num_cycles,
+                    bool requester, Cycles* cycles,
+                    std::vector<std::uint64_t>* costs) {
+  cycles->clear();
+  costs->clear();
+  for (std::size_t m = 0; m < members; ++m) costs->push_back(rng.Uniform(12));
+  for (std::size_t c = 0; c < num_cycles; ++c) {
+    std::set<std::size_t> cycle;
+    if (requester) cycle.insert(0);
+    const std::size_t len =
+        std::min(members, 1 + rng.Uniform(4) + (requester ? 1 : 0));
+    while (cycle.size() < len) cycle.insert(rng.Uniform(members));
+    cycles->emplace_back(cycle.begin(), cycle.end());
+  }
+}
+
+void ExpectAscendingCover(const Cycles& cycles,
+                          const std::vector<std::uint64_t>& costs,
+                          const VertexCutResult& r, const std::string& ctx) {
+  EXPECT_TRUE(std::is_sorted(r.members.begin(), r.members.end())) << ctx;
+  EXPECT_EQ(std::adjacent_find(r.members.begin(), r.members.end()),
+            r.members.end())
+      << ctx;
+  EXPECT_TRUE(Covers(cycles, r.members)) << ctx;
+  std::uint64_t sum = 0;
+  for (std::size_t m : r.members) sum += costs[m];
+  EXPECT_EQ(sum, r.total_cost) << ctx;
+}
+
+TEST(VertexCutPropertyTest, ExactIsMinimumAndGreedyCoversOnRandomInstances) {
+  Rng rng(2718);
+  for (int trial = 0; trial < 300; ++trial) {
+    Cycles cycles;
+    std::vector<std::uint64_t> costs;
+    const std::size_t members = 2 + rng.Uniform(11);  // 2..12
+    RandomInstance(rng, members, 1 + rng.Uniform(20), rng.Bernoulli(0.5),
+                   &cycles, &costs);
+    const std::string ctx = "trial " + std::to_string(trial);
+
+    const VertexCutResult exact = SolveVertexCut(cycles, costs, 24);
+    EXPECT_TRUE(exact.exact) << ctx;
+    ExpectAscendingCover(cycles, costs, exact, ctx);
+    EXPECT_EQ(exact.total_cost, BruteForceCutCost(cycles, costs)) << ctx;
+    const VertexCutResult list_exact = ListSolve(cycles, costs, 24);
+    EXPECT_EQ(exact.members, list_exact.members) << ctx;
+
+    const VertexCutResult greedy = SolveVertexCut(cycles, costs, 0);
+    EXPECT_FALSE(greedy.exact) << ctx;
+    ExpectAscendingCover(cycles, costs, greedy, ctx);
+    EXPECT_GE(greedy.total_cost, exact.total_cost) << ctx;
+    EXPECT_EQ(greedy.members, ListSolve(cycles, costs, 0).members) << ctx;
+  }
+}
+
+TEST(VertexCutPropertyTest, EqualRatioGoesToTheLowestIndex) {
+  // Member 0 (gain 1, cost 1) and member 1 (gain 2, cost 3) both score
+  // 1/2 on the first pick: the lower index wins although member 1 would
+  // cut both cycles; member 1 then cuts the cycle left open.
+  VertexCutResult r = SolveVertexCut({{0, 1}, {1, 2}}, {1, 3, 5},
+                                     /*exact_limit=*/0);
+  EXPECT_EQ(r.members, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(r.total_cost, 4u);
+  // Mirrored: now the two-cycle member has the lower index and wins alone.
+  r = SolveVertexCut({{0, 1}, {0, 2}}, {3, 1, 5}, /*exact_limit=*/0);
+  EXPECT_EQ(r.members, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(r.total_cost, 3u);
+  // Exact search among equal-cost cuts keeps the first one found, whose
+  // pick comes first in the open cycle.
+  r = SolveVertexCut({{1, 2}}, {9, 4, 4});
+  EXPECT_EQ(r.members, (std::vector<std::size_t>{1}));
+}
+
+TEST(VertexCutPropertyTest, MoreThan64CyclesUseMultiWordRows) {
+  Rng rng(31337);
+  for (std::size_t num_cycles : {63, 64, 65, 127, 128, 129, 200}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Cycles cycles;
+      std::vector<std::uint64_t> costs;
+      RandomInstance(rng, 10, num_cycles, /*requester=*/trial % 2 == 0,
+                     &cycles, &costs);
+      const std::string ctx =
+          std::to_string(num_cycles) + " cycles, trial " +
+          std::to_string(trial);
+      const VertexCutResult exact = SolveVertexCut(cycles, costs, 24);
+      ExpectAscendingCover(cycles, costs, exact, ctx);
+      EXPECT_EQ(exact.total_cost, BruteForceCutCost(cycles, costs)) << ctx;
+      EXPECT_EQ(exact.members, ListSolve(cycles, costs, 24).members)
+          << ctx;
+      const VertexCutResult greedy = SolveVertexCut(cycles, costs, 0);
+      ExpectAscendingCover(cycles, costs, greedy, ctx);
+      EXPECT_EQ(greedy.members, ListSolve(cycles, costs, 0).members)
+          << ctx;
+    }
+  }
+  // A cycle only the last word sees: the cut must still reach it.
+  Cycles cycles(70, std::vector<std::size_t>{0});
+  cycles.back() = {1};
+  VertexCutResult r = SolveVertexCut(cycles, {2, 3});
+  EXPECT_EQ(r.members, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(r.total_cost, 5u);
+}
+
+TEST(VertexCutPropertyTest, SolverReuseMatchesFreshSolves) {
+  // One solver across instances of different shapes gives what a fresh
+  // solve gives: Reset clears rows, costs and the previous cut.
+  Rng rng(99);
+  VertexCutSolver solver;
+  for (int trial = 0; trial < 100; ++trial) {
+    Cycles cycles;
+    std::vector<std::uint64_t> costs;
+    RandomInstance(rng, 2 + rng.Uniform(10), 1 + rng.Uniform(90),
+                   rng.Bernoulli(0.5), &cycles, &costs);
+    solver.Reset(costs.size(), cycles.size());
+    for (std::size_t m = 0; m < costs.size(); ++m) solver.SetCost(m, costs[m]);
+    for (std::size_t c = 0; c < cycles.size(); ++c) {
+      for (std::size_t m : cycles[c]) solver.Add(m, c);
+    }
+    const std::size_t limit = trial % 3 == 0 ? 0 : 24;
+    const VertexCutResult& got = solver.Solve(limit);
+    const VertexCutResult want = SolveVertexCut(cycles, costs, limit);
+    EXPECT_EQ(got.members, want.members) << "trial " << trial;
+    EXPECT_EQ(got.total_cost, want.total_cost) << "trial " << trial;
+    EXPECT_EQ(got.exact, want.exact) << "trial " << trial;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Resolution that runs out of rounds
+// ---------------------------------------------------------------------------
+
+// More cheap shared holders than resolution rounds, each in a two-cycle
+// with one costly requester, and enumeration capped at one cycle per
+// round: every round preempts one holder, cycles are still left after the
+// last round, and the engine must fail loudly instead of leaving the
+// requester blocked with nothing to wake it.
+TEST_F(EngineTest, ResolutionOutOfRoundsWithCyclesLeftFailsLoudly) {
+  EngineOptions opt;
+  opt.max_cycles_per_deadlock = 1;
+  Init(opt);
+  const EntityId a(0);
+  const EntityId b(1);
+  ProgramBuilder rb("requester", 1);
+  rb.LockExclusive(a).Read(a, 0);
+  for (int i = 0; i < 20; ++i) {
+    rb.Compute(0, Operand::Var(0), ArithOp::kAdd, Operand::Imm(1));
+  }
+  rb.WriteVar(a, 0).LockExclusive(b).Commit();
+  auto r = engine_->Spawn(Build(rb));
+  ASSERT_TRUE(r.ok());
+  for (int i = 0; i < 23; ++i) {  // X(a), read, 20 computes, write
+    auto out = engine_->StepTxn(r.value());
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out.value(), StepOutcome::kExecuted);
+  }
+  constexpr int kHolders = 70;
+  for (int i = 0; i < kHolders; ++i) {
+    ProgramBuilder hb("holder", 1);
+    hb.LockShared(b).LockShared(a).Commit();
+    auto h = engine_->Spawn(Build(hb));
+    ASSERT_TRUE(h.ok());
+    auto granted = engine_->StepTxn(h.value());  // S(b)
+    ASSERT_TRUE(granted.ok());
+    ASSERT_EQ(granted.value(), StepOutcome::kExecuted);
+    auto waits = engine_->StepTxn(h.value());  // S(a) waits on X(a)
+    ASSERT_TRUE(waits.ok());
+    ASSERT_EQ(waits.value(), StepOutcome::kBlocked);
+  }
+  auto outcome = engine_->StepTxn(r.value());  // X(b) closes 70 cycles
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInternal);
+  const std::string msg = outcome.status().ToString();
+  EXPECT_NE(msg.find("requester T0"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("entity 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("still closes 1 cycle"), std::string::npos) << msg;
+  EXPECT_EQ(engine_->metrics().deadlocks, 64u);
+  EXPECT_EQ(engine_->metrics().preemptions, 64u);
 }
 
 }  // namespace

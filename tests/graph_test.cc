@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -49,14 +51,50 @@ TEST(DigraphTest, RemoveVertexDropsIncidentEdges) {
   EXPECT_TRUE(g.HasEdge(3, 1));
 }
 
-TEST(DigraphTest, RemoveEdgesLabeled) {
+TEST(DigraphTest, SetEdgesLabeledEmptyRemovesTheLabel) {
   Digraph g;
   g.AddEdge(1, 2, 7);
   g.AddEdge(2, 3, 7);
   g.AddEdge(3, 4, 8);
-  g.RemoveEdgesLabeled(7);
+  std::vector<std::pair<VertexId, VertexId>> none;
+  g.SetEdgesLabeled(7, &none);
   EXPECT_EQ(g.EdgeCount(), 1u);
   EXPECT_TRUE(g.HasEdge(3, 4, 8));
+  EXPECT_FALSE(g.HasEdgesLabeled(7));
+}
+
+// The delta update must leave exactly the graph that clearing the label
+// and re-adding every arc leaves: same arcs, same sorted adjacency, same
+// vertices.
+TEST(DigraphTest, SetEdgesLabeledMatchesRebuild) {
+  pardb::Rng rng(4242);
+  Digraph delta;
+  for (int step = 0; step < 400; ++step) {
+    const EdgeLabel label = rng.Uniform(4);
+    std::vector<std::pair<VertexId, VertexId>> arcs;
+    const std::size_t n = rng.Uniform(6);
+    for (std::size_t i = 0; i < n; ++i) {
+      arcs.emplace_back(rng.Uniform(8), rng.Uniform(8));
+    }
+    std::vector<std::pair<VertexId, VertexId>> copy = arcs;
+    // Reference: every other label's arcs, then this label's from scratch.
+    Digraph rebuilt;
+    for (VertexId v : delta.Vertices()) rebuilt.AddVertex(v);
+    for (const Edge& e : delta.Edges()) {
+      if (e.label != label) rebuilt.AddEdge(e.from, e.to, e.label);
+    }
+    for (const auto& [from, to] : copy) rebuilt.AddEdge(from, to, label);
+
+    delta.SetEdgesLabeled(label, &arcs);
+    ASSERT_EQ(delta.Edges(), rebuilt.Edges()) << "step " << step;
+    ASSERT_EQ(delta.Vertices(), rebuilt.Vertices()) << "step " << step;
+    ASSERT_EQ(delta.EdgeCount(), rebuilt.EdgeCount()) << "step " << step;
+    for (VertexId v : delta.Vertices()) {
+      ASSERT_EQ(delta.Predecessors(v), rebuilt.Predecessors(v));
+      ASSERT_EQ(delta.InDegree(v), rebuilt.InDegree(v));
+    }
+    ASSERT_EQ(delta.HasEdgesLabeled(label), !copy.empty());
+  }
 }
 
 TEST(DigraphTest, DegreesAndNeighbors) {
@@ -252,6 +290,128 @@ TEST(DigraphTest, EnumerationMatchesBruteForce) {
     });
     EXPECT_EQ(found, expected) << "trial " << trial;
   }
+}
+
+// Reference enumeration: DFS from root over each vertex's out-arcs in
+// sorted (target, label) order, entering every vertex not on the path —
+// no pruning. Records each closing arc's cycle as (vertices, edges).
+std::vector<Cycle> SortedArcDfs(
+    const std::map<VertexId, std::set<std::pair<VertexId, EdgeLabel>>>& out,
+    VertexId root) {
+  std::vector<Cycle> cycles;
+  Cycle path;
+  path.vertices.push_back(root);
+  std::function<void()> Walk = [&]() {
+    const VertexId last = path.vertices.back();
+    auto it = out.find(last);
+    if (it == out.end()) return;
+    for (const auto& [to, label] : it->second) {
+      if (to == root) {
+        Cycle c = path;
+        c.edges.push_back(Edge{last, root, label});
+        cycles.push_back(std::move(c));
+        continue;
+      }
+      if (path.Contains(to)) continue;
+      path.vertices.push_back(to);
+      path.edges.push_back(Edge{last, to, label});
+      Walk();
+      path.vertices.pop_back();
+      path.edges.pop_back();
+    }
+  };
+  Walk();
+  return cycles;
+}
+
+std::vector<Cycle> Enumerate(const Digraph& g, VertexId root,
+                             std::size_t limit) {
+  std::vector<Cycle> found;
+  g.EnumerateCyclesThrough(root, limit, [&](const Cycle& c) {
+    found.push_back(c);
+    return true;
+  });
+  return found;
+}
+
+void ExpectSameCycles(const std::vector<Cycle>& got,
+                      const std::vector<Cycle>& want, const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].vertices, want[i].vertices) << ctx << " cycle " << i;
+    EXPECT_EQ(got[i].edges, want[i].edges) << ctx << " cycle " << i;
+  }
+}
+
+// EnumerationMatchesBruteForce compares cycle sets; this pins the order
+// (DFS over sorted arcs) and the cap (`limit` yields exactly a prefix of
+// that order), with parallel labels and a large acyclic out-tree below the
+// root — the subtrees the reach pruning skips.
+TEST(DigraphTest, EnumerationOrderAndCapMatchSortedArcDfs) {
+  pardb::Rng rng(9001);
+  for (int trial = 0; trial < 80; ++trial) {
+    Digraph g;
+    std::map<VertexId, std::set<std::pair<VertexId, EdgeLabel>>> out;
+    auto Add = [&](VertexId a, VertexId b, EdgeLabel l) {
+      g.AddEdge(a, b, l);
+      out[a].insert({b, l});
+    };
+    const std::size_t n = 3 + rng.Uniform(5);  // 3..7 cyclic-core vertices
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        if (a == b || !rng.Bernoulli(0.35)) continue;
+        Add(a, b, rng.Uniform(3));
+        if (rng.Bernoulli(0.2)) Add(a, b, 3 + rng.Uniform(3));
+      }
+    }
+    // An out-tree hanging off the core: 100..(100 + tree) never reach back.
+    const std::size_t tree = trial % 2 == 0 ? 0 : 60 + rng.Uniform(60);
+    for (std::size_t i = 0; i < tree; ++i) {
+      const VertexId child = 100 + i;
+      const VertexId parent = i < 3 ? rng.Uniform(n) : 100 + rng.Uniform(i);
+      Add(parent, child, rng.Uniform(2));
+      if (i >= 3 && rng.Bernoulli(0.3)) {  // cross arcs keep it acyclic
+        Add(100 + rng.Uniform(i), child, 7);
+      }
+    }
+    const VertexId root = 0;
+    const std::vector<Cycle> want = SortedArcDfs(out, root);
+    const std::string ctx = "trial " + std::to_string(trial);
+    ExpectSameCycles(Enumerate(g, root, 1u << 20), want, ctx);
+    for (std::size_t limit = 1; limit <= want.size() + 1; ++limit) {
+      const std::size_t keep = std::min(limit, want.size());
+      ExpectSameCycles(
+          Enumerate(g, root, limit),
+          std::vector<Cycle>(want.begin(), want.begin() + keep),
+          ctx + " limit " + std::to_string(limit));
+    }
+    // A callback that stops after k cycles sees exactly the first k.
+    if (!want.empty()) {
+      const std::size_t k = 1 + rng.Uniform(want.size());
+      std::vector<Cycle> got;
+      const std::size_t reported =
+          g.EnumerateCyclesThrough(root, 1u << 20, [&](const Cycle& c) {
+            got.push_back(c);
+            return got.size() < k;
+          });
+      EXPECT_EQ(reported, k) << ctx;
+      ExpectSameCycles(got, std::vector<Cycle>(want.begin(), want.begin() + k),
+                       ctx + " stop");
+    }
+  }
+}
+
+TEST(DigraphTest, EnumerationFromRootWithoutInOrOutArcsFindsNothing) {
+  Digraph g;
+  for (VertexId v = 1; v < 50; ++v) g.AddEdge(0, v, v);  // out-star only
+  g.AddEdge(60, 61, 0);
+  g.AddEdge(61, 62, 0);  // 62 has in-arcs only
+  EXPECT_EQ(Enumerate(g, 0, 64).size(), 0u);
+  EXPECT_EQ(Enumerate(g, 62, 64).size(), 0u);
+  EXPECT_EQ(Enumerate(g, 999, 64).size(), 0u);  // absent vertex
+  g.AddEdge(49, 0, 1);
+  ASSERT_EQ(Enumerate(g, 0, 64).size(), 1u);
+  EXPECT_EQ(Enumerate(g, 0, 64)[0].vertices, (std::vector<VertexId>{0, 49}));
 }
 
 TEST(CycleTest, ToStringFormatsLoop) {
