@@ -650,9 +650,10 @@ void Engine::RefreshWaitEdges(EntityId entity) {
   // overwhelmingly common case for an uncontended grant or release.
   if (!has_waiters && !waits_for_.HasEdgesLabeled(label)) return;
   scratch_arcs_.clear();
-  locks_.ForEachWaiter(entity, [&](TxnId waiter, lock::LockMode) {
+  locks_.ForEachWaiter(entity, [&](TxnId waiter, lock::LockMode,
+                                   std::size_t position) {
     scratch_blockers_.clear();
-    locks_.AppendBlockersOf(waiter, &scratch_blockers_);
+    locks_.AppendBlockersAt(entity, position, &scratch_blockers_);
     for (TxnId blocker : scratch_blockers_) {
       scratch_arcs_.emplace_back(blocker.value(), waiter.value());
     }

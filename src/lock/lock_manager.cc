@@ -484,6 +484,13 @@ void LockManager::AppendBlockersOf(TxnId txn,
   }
 }
 
+void LockManager::AppendBlockersAt(EntityId entity, std::size_t position,
+                                   std::vector<TxnId>* out) const {
+  const EntityState* es = SlotFor(entity);
+  if (es == nullptr || position >= es->queue.size()) return;
+  AppendBlockers(*es, es->queue[position], position, out);
+}
+
 std::vector<TxnId> LockManager::BlockersOf(TxnId txn) const {
   std::vector<TxnId> blockers;
   AppendBlockersOf(txn, &blockers);

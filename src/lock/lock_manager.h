@@ -182,13 +182,16 @@ class LockManager {
     return es != nullptr && !es->queue.empty();
   }
 
-  // Invokes fn(TxnId, LockMode) for each waiter of `entity` in queue
-  // order, without materializing a vector.
+  // Invokes fn(TxnId, LockMode, position) for each waiter of `entity` in
+  // queue order, without materializing a vector; `position` is the
+  // waiter's queue index, the handle AppendBlockersAt takes.
   template <typename Fn>
   void ForEachWaiter(EntityId entity, Fn&& fn) const {
     const EntityState* es = SlotFor(entity);
     if (es == nullptr) return;
-    for (const Waiter& w : es->queue) fn(w.txn, w.mode);
+    for (std::size_t i = 0; i < es->queue.size(); ++i) {
+      fn(es->queue[i].txn, es->queue[i].mode, i);
+    }
   }
 
   // Blockers of txn's pending request under the configured edge policy.
@@ -198,6 +201,11 @@ class LockManager {
   // Appends the same blockers to *out (sorted, deduplicated) without
   // allocating when out has capacity.
   void AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const;
+  // Appends the blockers of the waiter at queue index `position` of
+  // `entity` — AppendBlockersOf's list for that waiter, without the scan
+  // that re-finds its position.
+  void AppendBlockersAt(EntityId entity, std::size_t position,
+                        std::vector<TxnId>* out) const;
 
   // Appends every entity txn holds to *out (unsorted; callers needing the
   // HeldBy order sort the appended range by entity id).

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.h"
 #include "lock/lock_manager.h"
 #include "lock/lock_mode.h"
 
@@ -279,6 +282,48 @@ TEST(LockManagerTest, BlockersOfWaiter) {
   ASSERT_FALSE(lm.Request(kT2, kA, LockMode::kExclusive).value().granted);
   EXPECT_EQ(lm.BlockersOf(kT2), std::vector<TxnId>{kT1});
   EXPECT_TRUE(lm.BlockersOf(kT1).empty());
+}
+
+TEST(LockManagerTest, BlockersAtQueuePositionMatchBlockersOf) {
+  // The engine refreshes a label's wait arcs from the position
+  // ForEachWaiter hands out; that must give exactly the list the
+  // position-scanning BlockersOf gives, under every edge policy, with
+  // shared and exclusive requests, upgrades and releases in the mix.
+  for (bool fifo : {false, true}) {
+    for (WaitEdgePolicy policy :
+         {WaitEdgePolicy::kHoldersOnly, WaitEdgePolicy::kHoldersAndQueue}) {
+      LockManager lm(LockManager::Options{fifo, policy});
+      Rng rng(fifo ? 17 : 5);
+      std::size_t waiters_seen = 0;
+      for (int round = 0; round < 400; ++round) {
+        const TxnId t(1 + rng.Uniform(12));
+        const EntityId e(10 + rng.Uniform(4));
+        const LockMode mode =
+            rng.Bernoulli(0.4) ? LockMode::kShared : LockMode::kExclusive;
+        if (rng.Bernoulli(0.3)) {
+          lm.ReleaseAll(t);
+        } else if (!lm.IsWaiting(t) &&
+                   lm.HeldMode(t, e) != LockMode::kExclusive &&
+                   !(lm.HeldMode(t, e) == LockMode::kShared &&
+                     mode == LockMode::kShared)) {
+          ASSERT_TRUE(lm.Request(t, e, mode).ok());
+        }
+        for (std::uint64_t ev = 10; ev < 14; ++ev) {
+          const EntityId entity(ev);
+          lm.ForEachWaiter(entity, [&](TxnId waiter, LockMode,
+                                       std::size_t position) {
+            std::vector<TxnId> at;
+            lm.AppendBlockersAt(entity, position, &at);
+            EXPECT_EQ(at, lm.BlockersOf(waiter))
+                << "T" << waiter.value() << " at " << position << " on "
+                << ev;
+            ++waiters_seen;
+          });
+        }
+      }
+      EXPECT_GT(waiters_seen, 100u);
+    }
+  }
 }
 
 TEST(LockManagerTest, ToStringMentionsHoldersAndQueue) {
