@@ -300,4 +300,15 @@ Status Coordinator::MergeAndResolve() {
   return Status::Internal("xshard: global cycle resolution did not converge");
 }
 
+Status Coordinator::CountIdleMerge() {
+  // A backed-off slice belongs to a global that cannot commit before the
+  // merge that lifts the backoff, so with none active there is none left.
+  if (!active_.empty() || !backed_off_.empty()) {
+    return Status::FailedPrecondition("xshard: idle merge with globals live");
+  }
+  ++stats_.merges;
+  stats_.messages += 2 * engines_.size();
+  return Status::OK();
+}
+
 }  // namespace pardb::par::xshard

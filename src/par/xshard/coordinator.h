@@ -93,6 +93,12 @@ class Coordinator : public SubResolver {
   // the merged graph has no cycle through a global transaction.
   Status MergeAndResolve();
 
+  // The bookkeeping of a merge round run while no global is in flight
+  // (DESIGN D19): the counters MergeAndResolve advances, without the union
+  // — a merged graph with no global node has no global cycle. Fails if a
+  // global is in flight or a slice is still backed off.
+  Status CountIdleMerge();
+
   bool AllDone() const { return active_.empty(); }
   std::size_t active() const { return active_.size(); }
   const XShardStats& stats() const { return stats_; }
