@@ -74,11 +74,12 @@ inline constexpr char kShardLoadSkew[] = "pardb_shard_load_skew";
 // Work-stealing pool (par::RunSharded on par::StealingPool).
 // Quanta executed on a worker other than the one that queued them.
 inline constexpr char kStealsTotal[] = "pardb_steals_total";
-// Per-worker busy/wall fraction scaled by 1000 (gauge; labeled by worker).
-inline constexpr char kWorkerUtilization[] = "pardb_worker_utilization";
-// Wall seconds per driver phase, scaled by 1000 (gauge; labeled
+// Per-worker busy/wall fraction in permille (gauge; labeled by worker).
+inline constexpr char kWorkerUtilizationPermille[] =
+    "pardb_worker_utilization_permille";
+// Wall milliseconds per driver phase (gauge; labeled
 // {phase="generate"|"execute"}).
-inline constexpr char kPhaseSeconds[] = "pardb_phase_seconds";
+inline constexpr char kPhaseMilliseconds[] = "pardb_phase_milliseconds";
 
 // Preemption lineage (obs::LineageTracker).
 // High-water mark of any live transaction's preemption chain depth.
