@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "par/report_json.h"
 #include "par/router.h"
 #include "par/sharded_driver.h"
+#include "par/xshard/coordinator.h"
 #include "par/xshard/split.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
@@ -264,6 +266,41 @@ TEST(EngineSubTxnTest, HoldReleaseLifecycle) {
   }
   EXPECT_EQ(engine.StatusOf(id.value()), core::TxnStatus::kCommitted);
   EXPECT_EQ(engine.metrics().commits, 1u);
+}
+
+TEST(CoordinatorTest, IdleMergeCountsLikeAMergeAndRefusesLiveGlobals) {
+  // The free-run replay (DESIGN D19) counts a merge with no global node:
+  // the same merges/messages MergeAndResolve would add, and never while a
+  // global is in flight.
+  std::vector<storage::EntityStore> stores(2);
+  std::vector<std::unique_ptr<core::Engine>> owned;
+  std::vector<core::Engine*> engines;
+  for (auto& store : stores) {
+    store.CreateMany(16, 0);
+    owned.push_back(std::make_unique<core::Engine>(&store,
+                                                   core::EngineOptions{}));
+    engines.push_back(owned.back().get());
+  }
+  par::xshard::Coordinator::Options copt;
+  copt.num_shards = 2;
+  par::xshard::Coordinator idle(engines, copt);
+  ASSERT_TRUE(idle.MergeAndResolve().ok());
+  const par::xshard::XShardStats merged = idle.stats();
+  ASSERT_TRUE(idle.CountIdleMerge().ok());
+  EXPECT_EQ(idle.stats().merges, 2 * merged.merges);
+  EXPECT_EQ(idle.stats().messages, 2 * merged.messages);
+
+  par::xshard::Coordinator busy(engines, copt);
+  auto global = ProgramBuilder("g")
+                    .LockExclusive(EntityOn(0, 2))
+                    .LockExclusive(EntityOn(1, 2))
+                    .Commit()
+                    .Build();
+  ASSERT_TRUE(global.ok());
+  ASSERT_TRUE(busy.Admit(std::move(global).value()).ok());
+  const std::uint64_t merges = busy.stats().merges;
+  EXPECT_FALSE(busy.CountIdleMerge().ok());
+  EXPECT_EQ(busy.stats().merges, merges);
 }
 
 // ---------------------------------------------------------------------------
