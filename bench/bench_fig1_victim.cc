@@ -12,6 +12,7 @@
 
 #include "bench/table_util.h"
 #include "core/engine.h"
+#include "obs/forensics.h"
 #include "sim/scenario.h"
 
 namespace {
@@ -40,12 +41,12 @@ void PrintReproduction() {
     return;
   }
   (void)fig->TriggerDeadlock();
-  const auto& ev = fig->runner->engine().deadlock_events().at(0);
+  const auto& ev = fig->runner->deadlocks().at(0);
 
   Table t({"txn", "holds", "waits (state)", "locked at state", "cost",
            "paper"});
-  std::map<TxnId, const core::VictimCandidate*> by_txn;
-  for (const auto& c : ev.candidates) by_txn[c.txn] = &c;
+  std::map<TxnId, const obs::DeadlockParticipant*> by_txn;
+  for (const auto& p : ev.participants) by_txn[p.txn] = &p;
   t.AddRow("T2", "b", "e (12)", 8, by_txn[fig->t2]->cost, "12-8=4");
   t.AddRow("T3", "c", "b (11)", 5, by_txn[fig->t3]->cost, "11-5=6");
   t.AddRow("T4", "e", "c (15)", 10, by_txn[fig->t4]->cost, "15-10=5");
@@ -70,10 +71,10 @@ void PrintReproduction() {
     auto f = BuildFigure1(Options(policy));
     if (!f.ok()) continue;
     (void)f->TriggerDeadlock();
-    const auto& e = f->runner->engine().deadlock_events().at(0);
+    const auto& e = f->runner->deadlocks().at(0);
     std::string victim = "T" + std::to_string(e.victims.at(0).value() + 1);
     p.AddRow(std::string(core::VictimPolicyKindName(policy)), victim,
-             e.total_cost,
+             obs::VictimCost(e),
              f->runner->engine().metrics().total_rollbacks > 0 ? "yes" : "no");
   }
   p.Print();
@@ -87,10 +88,11 @@ void PrintReproduction() {
     auto f = BuildFigure1(Options(VictimPolicyKind::kMinCost, strategy));
     if (!f.ok()) continue;
     (void)f->TriggerDeadlock();
-    const auto& e = f->runner->engine().deadlock_events().at(0);
+    const auto& e = f->runner->deadlocks().at(0);
     s.AddRow(std::string(rollback::StrategyKindName(strategy)),
-             "T" + std::to_string(e.victims.at(0).value() + 1), e.total_cost,
-             e.total_ideal_cost, e.total_cost - e.total_ideal_cost);
+             "T" + std::to_string(e.victims.at(0).value() + 1),
+             obs::VictimCost(e), obs::VictimIdealCost(e),
+             obs::VictimCost(e) - obs::VictimIdealCost(e));
   }
   s.Print();
   std::cout << "\n(paper claim: partial rollback loses only the progress "

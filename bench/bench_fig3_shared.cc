@@ -15,6 +15,7 @@
 #include "bench/table_util.h"
 #include "common/random.h"
 #include "core/vertex_cut.h"
+#include "obs/forensics.h"
 #include "sim/driver.h"
 #include "sim/scenario.h"
 
@@ -67,10 +68,12 @@ void PrintReproduction() {
       auto fig = sim::BuildFigure3b(Options(policy));
       if (!fig.ok()) continue;
       (void)fig->TriggerDeadlock();
-      const auto& ev = fig->runner->engine().deadlock_events().at(0);
+      // A copy: FinishAll may resolve further deadlocks and grow the list.
+      const obs::DeadlockDump ev = fig->runner->deadlocks().at(0);
       bool done = fig->runner->FinishAll().ok();
       t.AddRow(std::string(core::VictimPolicyKindName(policy)), ev.num_cycles,
-               VictimNames(ev.victims), ev.total_cost, done ? "yes" : "no");
+               VictimNames(ev.victims), obs::VictimCost(ev),
+               done ? "yes" : "no");
     }
     t.Print();
     std::cout << "(paper: all cycles include T1; rollback of T1 or of T2 "
@@ -84,9 +87,9 @@ void PrintReproduction() {
       auto fig = sim::BuildFigure3c(Options(VictimPolicyKind::kMinCost));
       if (fig.ok()) {
         (void)fig->TriggerDeadlock();
-        const auto& ev = fig->runner->engine().deadlock_events().at(0);
+        const auto& ev = fig->runner->deadlocks().at(0);
         t.AddRow("min-cost vertex cut", ev.num_cycles,
-                 VictimNames(ev.victims), ev.total_cost);
+                 VictimNames(ev.victims), obs::VictimCost(ev));
       }
     }
     {
@@ -94,9 +97,9 @@ void PrintReproduction() {
           Options(VictimPolicyKind::kMinCost, /*cut=*/false));
       if (fig.ok()) {
         (void)fig->TriggerDeadlock();
-        const auto& ev = fig->runner->engine().deadlock_events().at(0);
+        const auto& ev = fig->runner->deadlocks().at(0);
         t.AddRow("requester only", ev.num_cycles, VictimNames(ev.victims),
-                 ev.total_cost);
+                 obs::VictimCost(ev));
       }
     }
     t.Print();

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "obs/forensics.h"
 #include "rollback/sdg.h"
 #include "sim/scenario.h"
 #include "storage/entity_store.h"
@@ -47,18 +48,18 @@ void Figure1() {
   std::cout << "before T2 requests e:\n"
             << engine.waits_for().ToDot(TxnName, entity_name);
   (void)fig->TriggerDeadlock();
-  const auto& ev = engine.deadlock_events().at(0);
+  const auto& ev = fig->runner->deadlocks().at(0);
   std::printf("deadlock: cycle of %zu transactions; candidate costs:\n",
-              ev.cycle_txns.size());
-  for (const auto& c : ev.candidates) {
+              ev.arcs.size());
+  for (const auto& p : ev.participants) {
     std::printf("  T%llu: roll back to lock state %llu, cost %llu ops\n",
-                (unsigned long long)c.txn.value() + 1,
-                (unsigned long long)c.ideal_target,
-                (unsigned long long)c.cost);
+                (unsigned long long)p.txn.value() + 1,
+                (unsigned long long)p.ideal_target,
+                (unsigned long long)p.cost);
   }
   std::printf("victim: T%llu (cost %llu)\n\n",
               (unsigned long long)ev.victims[0].value() + 1,
-              (unsigned long long)ev.total_cost);
+              (unsigned long long)obs::VictimCost(ev));
   std::cout << "Figure 1(b), after the partial rollback of T2:\n"
             << engine.waits_for().ToDot(TxnName, entity_name) << "\n";
 }
@@ -89,7 +90,7 @@ void Figure3() {
   auto c = sim::BuildFigure3c(MinCostOptions());
   if (c.ok()) {
     (void)c->TriggerDeadlock();
-    const auto& ev = c->runner->engine().deadlock_events().at(0);
+    const auto& ev = c->runner->deadlocks().at(0);
     std::printf("(c) T1's request closed %zu cycles; victims:", ev.num_cycles);
     for (TxnId v : ev.victims) {
       std::printf(" T%llu", (unsigned long long)v.value() + 1);

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "core/engine.h"
+#include "obs/forensics.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
 
@@ -27,6 +28,10 @@ int main() {
   options.strategy = rollback::StrategyKind::kMcs;
   options.victim_policy = core::VictimPolicyKind::kMinCostOrdered;
   core::Engine engine(&store, options);
+  // One forensic dump per resolved deadlock: the cycle, every member's
+  // rollback cost and the chosen victims.
+  obs::CollectingDeadlockSink deadlocks;
+  engine.set_forensics(&deadlocks);
 
   // T0: a += 1, then b += 1 (locks a then b).
   auto p0 = txn::ProgramBuilder("transfer-ab", 1)
@@ -84,12 +89,12 @@ int main() {
               static_cast<unsigned long long>(m.total_rollbacks));
   std::printf("ops lost to rollback: %llu\n",
               static_cast<unsigned long long>(m.wasted_ops));
-  for (const auto& ev : engine.deadlock_events()) {
+  for (const auto& ev : deadlocks.dumps()) {
     std::printf("deadlock: requester T%llu over E%llu, victim T%llu, cost %llu\n",
                 static_cast<unsigned long long>(ev.requester.value()),
                 static_cast<unsigned long long>(ev.requested_entity.value()),
                 static_cast<unsigned long long>(ev.victims.front().value()),
-                static_cast<unsigned long long>(ev.total_cost));
+                static_cast<unsigned long long>(obs::VictimCost(ev)));
   }
   std::printf("final a=%lld b=%lld (serial orders give 111/211)\n",
               static_cast<long long>(store.Get(a).value().value),

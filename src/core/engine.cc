@@ -793,7 +793,7 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
     }
     PARDB_RETURN_IF_ERROR(BuildCandidates(requester));
     const std::vector<VictimCandidate>& candidates = det_.candidates;
-    // The first cycle, for forensics, the event log and lineage.
+    // The first cycle, for forensics and lineage.
     const std::span<const graph::Edge> first_cycle(det_.edges.data(),
                                                    det_.cycle_end[0]);
     auto CycleEdges = [this](std::size_t i) {
@@ -944,6 +944,7 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
         p.cost = c.cost;
         p.ideal_cost = c.ideal_cost;
         p.target = c.actual_target;
+        p.ideal_target = c.ideal_target;
         p.is_requester = c.is_requester;
         for (const VictimCandidate* v : victims) {
           if (v->txn == c.txn) p.is_victim = true;
@@ -952,27 +953,6 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
       }
       for (const VictimCandidate* v : victims) dump.victims.push_back(v->txn);
       forensics_->OnDeadlock(dump);
-    }
-
-    // Record the event before mutating state.
-    if (deadlock_events_.size() < options_.max_recorded_events) {
-      DeadlockEvent ev;
-      ev.requester = requester.id;
-      ev.requested_entity = entity;
-      ev.num_cycles = num_cycles;
-      for (const graph::Edge& e : first_cycle) {
-        ev.cycle_txns.push_back(TxnId(e.from));
-      }
-      for (const graph::Edge& e : first_cycle) {
-        ev.cycle_entities.push_back(EntityId(e.label));
-      }
-      ev.candidates = candidates;
-      for (const VictimCandidate* v : victims) {
-        ev.victims.push_back(v->txn);
-        ev.total_cost += v->cost;
-        ev.total_ideal_cost += v->ideal_cost;
-      }
-      deadlock_events_.push_back(std::move(ev));
     }
 
     for (const VictimCandidate* v : victims) {

@@ -122,8 +122,6 @@ struct EngineOptions {
   // requester and a minimum-cost vertex cut (§3.2). When false, multi-cycle
   // deadlocks always roll back the requester.
   bool optimize_vertex_cut = true;
-  // Keep at most this many deadlock events for inspection.
-  std::size_t max_recorded_events = 4096;
   // kTimeout only: a wait older than this many engine steps is expired.
   std::uint64_t wait_timeout_steps = 64;
   // kDetection only: continuous (at every wait) or periodic scans.
@@ -147,20 +145,6 @@ struct EngineOptions {
   // through multi-cycle branches where no alternate pick exists. Never set
   // in production.
   std::uint64_t debug_flip_victim_deadlock = 0;
-};
-
-// One resolved deadlock, for tests/benches that assert the paper's figures.
-struct DeadlockEvent {
-  TxnId requester;
-  EntityId requested_entity;
-  std::size_t num_cycles = 0;
-  std::vector<TxnId> cycle_txns;       // members of the first cycle found
-  std::vector<EntityId> cycle_entities;  // entities on that cycle's arcs
-  std::vector<VictimCandidate> candidates;
-  std::vector<TxnId> victims;  // usually one; a vertex cut can have several
-  // Summed over victims:
-  std::uint64_t total_cost = 0;        // actually paid (strategy-coarsened)
-  std::uint64_t total_ideal_cost = 0;  // what exact restoration would pay
 };
 
 struct EngineMetrics {
@@ -343,11 +327,8 @@ class Engine {
   const lock::LockManager& lock_manager() const { return locks_; }
   const storage::EntityStore& store() const { return *store_; }
   const EngineMetrics& metrics() const { return metrics_; }
-  const std::vector<DeadlockEvent>& deadlock_events() const {
-    return deadlock_events_;
-  }
-  // Distribution of individual rollback costs (bounded sample of the most
-  // recent 64k rollbacks).
+  // Distribution of individual rollback costs (bounded sample: the first
+  // 64k rollbacks of the run; later ones are not sampled).
   CostDistribution RollbackCostDistribution() const;
   // The raw bounded sample behind RollbackCostDistribution, for aggregators
   // that merge several engines' costs into one distribution.
@@ -370,7 +351,8 @@ class Engine {
 
   // Installs a deadlock forensics sink (nullptr to detach): one
   // DeadlockDump per resolved deadlock, emitted after victim selection and
-  // before any rollback mutates the cycle.
+  // before any rollback mutates the cycle. The dump is the engine's only
+  // per-deadlock record and is built only while a sink is installed.
   void set_forensics(obs::DeadlockDumpSink* sink) { forensics_ = sink; }
 
   // Installs a rollback-lineage tracker (nullptr to detach): fed one event
@@ -672,7 +654,6 @@ class Engine {
   // EngineOptions::debug_flip_victim_deadlock (test hook).
   std::uint64_t debug_flip_opportunities_ = 0;
   EngineMetrics metrics_;
-  std::vector<DeadlockEvent> deadlock_events_;
   std::vector<std::uint32_t> rollback_costs_;  // bounded sample
   Rng rng_;
   std::uint64_t next_txn_ = 0;

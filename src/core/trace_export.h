@@ -2,7 +2,6 @@
 #define PARDB_CORE_TRACE_EXPORT_H_
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -14,20 +13,6 @@ namespace pardb::core {
 //   {"kind":"block","step":12,"txn":2,"entity":5,"pc":3,"target":0,"cost":0}
 // Invalid ids (entity on spawn/commit events) serialize as null.
 std::string TraceEventToJsonLine(const TraceEvent& event);
-
-// Streaming sink that writes one JSON object per event line (JSONL) to an
-// ostream. The stream must outlive the sink.
-class JsonlTraceSink final : public TraceSink {
- public:
-  explicit JsonlTraceSink(std::ostream* out) : out_(out) {}
-
-  void OnEvent(const TraceEvent& event) override {
-    *out_ << TraceEventToJsonLine(event) << "\n";
-  }
-
- private:
-  std::ostream* out_;
-};
 
 // The event stream of one engine (one shard) destined for the Chrome
 // trace: `pid` becomes the trace process id, `name` its process_name.

@@ -4,8 +4,8 @@
 #include <set>
 #include <sstream>
 
-#include "analysis/history.h"
-#include "storage/entity_store.h"
+#include "obs/forensics.h"
+#include "sim/driver.h"
 
 namespace pardb::dist {
 
@@ -28,64 +28,62 @@ std::string DistReport::ToString() const {
   return os.str();
 }
 
-Result<DistReport> RunDistributed(const DistOptions& options) {
-  storage::EntityStore store;
-  store.CreateMany(options.workload.num_entities, 100);
+namespace {
 
-  analysis::HistoryRecorder recorder;
-  core::Engine engine(&store, options.engine, &recorder);
-  sim::WorkloadGenerator gen(options.workload, options.seed);
+// Site analysis of detected deadlocks (§3.3), one dump at a time as the
+// engine resolves them: which could a per-site detector have found without
+// any cross-site communication? Keeps no dumps.
+class SiteClassifier final : public obs::DeadlockDumpSink {
+ public:
+  SiteClassifier(std::uint32_t num_sites, DistReport* report)
+      : num_sites_(num_sites), report_(report) {}
 
-  std::uint64_t spawned = 0;
-  bool completed = true;
-  std::uint64_t steps = 0;
-  while (engine.metrics().commits < options.total_txns) {
-    if (++steps > options.max_steps) {
-      completed = false;
-      break;
-    }
-    while (spawned < options.total_txns &&
-           spawned - engine.metrics().commits < options.concurrency) {
-      auto program = gen.Next();
-      if (!program.ok()) return program.status();
-      auto id = engine.Spawn(std::move(program).value());
-      if (!id.ok()) return id.status();
-      ++spawned;
-    }
-    auto stepped = engine.StepAny();
-    if (!stepped.ok()) return stepped.status();
-    if (!stepped.value().has_value()) {
-      return Status::Internal("distributed simulation stalled:\n" +
-                              engine.DumpState());
-    }
-  }
-
-  DistReport report;
-  report.metrics = engine.metrics();
-  report.committed = engine.metrics().commits;
-  report.completed = completed;
-  report.serializable = recorder.IsConflictSerializable();
-  // SafeRatio keeps both fractions finite for workloads that commit
-  // nothing or execute zero ops (total_txns == 0, max_steps == 0).
-  report.wasted_fraction =
-      SafeRatio(report.metrics.wasted_ops, report.metrics.ops_executed);
-  report.goodput = SafeRatio(report.committed, report.metrics.ops_executed);
-
-  // Site analysis of detected deadlocks (§3.3): which could a per-site
-  // detector have found without any cross-site communication?
-  for (const auto& ev : engine.deadlock_events()) {
+  void OnDeadlock(const obs::DeadlockDump& dump) override {
     std::set<std::uint32_t> sites;
-    for (EntityId e : ev.cycle_entities) {
-      sites.insert(SiteOfEntity(e, options.num_sites));
+    for (const obs::WaitsForArc& arc : dump.arcs) {
+      sites.insert(SiteOfEntity(arc.entity, num_sites_));
     }
     if (sites.size() <= 1) {
-      ++report.deadlocks_local;
+      ++report_->deadlocks_local;
     } else {
-      ++report.deadlocks_multi_site;
+      ++report_->deadlocks_multi_site;
     }
-    report.max_sites_in_deadlock = std::max(
-        report.max_sites_in_deadlock, static_cast<std::uint32_t>(sites.size()));
+    report_->max_sites_in_deadlock =
+        std::max(report_->max_sites_in_deadlock,
+                 static_cast<std::uint32_t>(sites.size()));
   }
+
+ private:
+  std::uint32_t num_sites_;
+  DistReport* report_;
+};
+
+}  // namespace
+
+Result<DistReport> RunDistributed(const DistOptions& options) {
+  DistReport report;
+  SiteClassifier classifier(options.num_sites, &report);
+  sim::SimOptions sim;
+  sim.engine = options.engine;
+  sim.workload = options.workload;
+  sim.concurrency = options.concurrency;
+  sim.total_txns = options.total_txns;
+  sim.max_steps = options.max_steps;
+  sim.seed = options.seed;
+  // The report reads neither the lifecycle book nor the decision journal.
+  sim.txnlife = false;
+  sim.journal = false;
+  sim.forensics = &classifier;
+  auto run = sim::RunSimulation(sim);
+  if (!run.ok()) return run.status();
+
+  report.metrics = run->metrics;
+  report.committed = run->committed;
+  report.completed = run->completed;
+  report.serializable = run->serializable;
+  report.wasted_fraction = run->wasted_fraction;
+  report.goodput = run->goodput;
+  // SafeRatio keeps the fraction finite when nothing deadlocked.
   report.multi_site_fraction =
       SafeRatio(report.deadlocks_multi_site,
                 report.deadlocks_local + report.deadlocks_multi_site);

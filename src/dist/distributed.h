@@ -54,8 +54,9 @@ struct DistReport {
   std::string ToString() const;
 };
 
-// Runs the closed-loop workload (as sim::RunSimulation) with site
-// accounting. Deterministic per (options, seed).
+// Runs the closed-loop workload through sim::RunSimulation, classifying
+// each resolved deadlock by site as its dump arrives. Deterministic per
+// (options, seed).
 Result<DistReport> RunDistributed(const DistOptions& options);
 
 }  // namespace pardb::dist

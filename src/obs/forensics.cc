@@ -5,6 +5,22 @@
 
 namespace pardb::obs {
 
+std::uint64_t VictimCost(const DeadlockDump& dump) {
+  std::uint64_t sum = 0;
+  for (const DeadlockParticipant& p : dump.participants) {
+    if (p.is_victim) sum += p.cost;
+  }
+  return sum;
+}
+
+std::uint64_t VictimIdealCost(const DeadlockDump& dump) {
+  std::uint64_t sum = 0;
+  for (const DeadlockParticipant& p : dump.participants) {
+    if (p.is_victim) sum += p.ideal_cost;
+  }
+  return sum;
+}
+
 std::string DeadlockDumpToDot(const DeadlockDump& dump) {
   std::ostringstream os;
   os << "digraph deadlock_step" << dump.step << " {\n";

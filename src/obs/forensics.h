@@ -17,6 +17,7 @@ struct DeadlockParticipant {
   std::uint64_t cost = 0;        // what its rollback strategy would pay
   std::uint64_t ideal_cost = 0;  // what exact restoration would pay
   LockIndex target = 0;          // lock state a rollback would restore
+  LockIndex ideal_target = 0;    // latest lock state clearing the conflicts
   bool is_requester = false;
   bool is_victim = false;
 };
@@ -29,8 +30,10 @@ struct WaitsForArc {
   EntityId entity;
 };
 
-// Everything known about one detected deadlock at resolution time — the
-// forensic record behind the DOT dump.
+// Everything known about one detected deadlock at resolution time: the
+// engine's one record per resolved deadlock, behind the DOT dump, the
+// /debug/deadlocks ring and every figure reproduction. The first cycle's
+// holders and entities are arcs[i].holder and arcs[i].entity.
 struct DeadlockDump {
   std::uint64_t step = 0;  // engine step at detection
   TxnId requester;
@@ -41,6 +44,11 @@ struct DeadlockDump {
   std::vector<TxnId> victims;        // chosen set (vertex cuts: several)
   std::string policy;                // victim policy name
 };
+
+// Summed over the victims (participants with is_victim): what their
+// rollbacks pay, and what exact restoration would pay.
+std::uint64_t VictimCost(const DeadlockDump& dump);
+std::uint64_t VictimIdealCost(const DeadlockDump& dump);
 
 // Renders the dump as Graphviz DOT: cycle members as nodes annotated with
 // ω-order and rollback costs, victims filled red, the requester boxed, and
@@ -55,9 +63,12 @@ class DeadlockDumpSink {
   virtual void OnDeadlock(const DeadlockDump& dump) = 0;
 };
 
-// Keeps the first `max_dumps` dumps in memory (tests, report assembly).
+// Keeps the first `max_dumps` dumps in memory (tests, report assembly,
+// figure reproductions; kUnbounded keeps every dump).
 class CollectingDeadlockSink final : public DeadlockDumpSink {
  public:
+  static constexpr std::size_t kUnbounded = ~std::size_t{0};
+
   explicit CollectingDeadlockSink(std::size_t max_dumps = 256)
       : max_dumps_(max_dumps) {}
 

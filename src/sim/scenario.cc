@@ -31,7 +31,9 @@ EngineOptions PaperModel(EngineOptions options) {
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(core::EngineOptions options)
-    : engine_(std::make_unique<core::Engine>(&store_, options, &recorder_)) {}
+    : engine_(std::make_unique<core::Engine>(&store_, options, &recorder_)) {
+  engine_->set_forensics(&deadlocks_);
+}
 
 EntityId ScenarioRunner::AddEntity(const std::string& name, Value initial) {
   auto it = names_.find(name);
@@ -217,8 +219,8 @@ Result<Figure2Outcome> RunFigure2MutualPreemption(core::EngineOptions options,
   if (lineage != nullptr) eng.set_lineage(lineage);
 
   auto LastVictims = [&]() -> std::vector<TxnId> {
-    if (eng.deadlock_events().empty()) return {};
-    return eng.deadlock_events().back().victims;
+    if (r.deadlocks().empty()) return {};
+    return r.deadlocks().back().victims;
   };
   auto FinishBroken = [&](Status* status) {
     out.pattern_sustained = false;

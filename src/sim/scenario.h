@@ -37,10 +37,18 @@ class ScenarioRunner {
   core::Engine& engine() { return *engine_; }
   storage::EntityStore& store() { return store_; }
   analysis::HistoryRecorder& recorder() { return recorder_; }
+  // Every deadlock the engine resolved, oldest first. The runner installs
+  // its own unbounded collecting sink at construction; installing another
+  // sink on engine() replaces it and stops this record.
+  const std::vector<obs::DeadlockDump>& deadlocks() const {
+    return deadlocks_.dumps();
+  }
 
  private:
   storage::EntityStore store_;
   analysis::HistoryRecorder recorder_;
+  obs::CollectingDeadlockSink deadlocks_{
+      obs::CollectingDeadlockSink::kUnbounded};
   std::unique_ptr<core::Engine> engine_;
   std::map<std::string, EntityId> names_;
   std::uint64_t next_entity_ = 0;

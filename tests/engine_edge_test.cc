@@ -74,23 +74,6 @@ TEST_F(EngineEdgeTest, RunToCompletionRespectsMaxSteps) {
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
 }
 
-TEST_F(EngineEdgeTest, DeadlockEventCapRespected) {
-  EngineOptions opt;
-  opt.max_recorded_events = 1;
-  opt.victim_policy = VictimPolicyKind::kMinCostOrdered;
-  Init(opt);
-  // Several sequential deadlocks; only one event retained.
-  for (int round = 0; round < 3; ++round) {
-    auto ta = engine_->Spawn(TwoLock(ids_[0], ids_[1], "a"));
-    auto tb = engine_->Spawn(TwoLock(ids_[1], ids_[0], "b"));
-    ASSERT_TRUE(ta.ok());
-    ASSERT_TRUE(tb.ok());
-    ASSERT_TRUE(engine_->RunToCompletion().ok());
-  }
-  EXPECT_GE(engine_->metrics().deadlocks, 2u);
-  EXPECT_EQ(engine_->deadlock_events().size(), 1u);
-}
-
 TEST_F(EngineEdgeTest, LastLockDeclarationReducesMcsCopies) {
   // The same deadlock-free program with and without the §5 declaration:
   // with it, writes after the final lock request keep a single copy.

@@ -10,6 +10,7 @@
 #include "core/engine.h"
 #include "core/vertex_cut.h"
 #include "core/victim_policy.h"
+#include "obs/forensics.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
 
@@ -60,10 +61,12 @@ class EngineTest : public ::testing::Test {
   void Init(EngineOptions options = {}) {
     ids_ = store_.CreateMany(8, 100);
     engine_ = std::make_unique<Engine>(&store_, options, &recorder_);
+    engine_->set_forensics(&deadlocks_);
   }
 
   storage::EntityStore store_;
   analysis::HistoryRecorder recorder_;
+  obs::CollectingDeadlockSink deadlocks_;
   std::unique_ptr<Engine> engine_;
   std::vector<EntityId> ids_;
 };
@@ -170,8 +173,8 @@ TEST_F(EngineTest, PartialRollbackKeepsEarlierLocks) {
   auto resolved = engine_->StepTxn(t1.value());  // request 0 -> deadlock
   ASSERT_TRUE(resolved.ok());
 
-  ASSERT_EQ(engine_->deadlock_events().size(), 1u);
-  const DeadlockEvent& ev = engine_->deadlock_events()[0];
+  ASSERT_EQ(deadlocks_.dumps().size(), 1u);
+  const obs::DeadlockDump& ev = deadlocks_.dumps()[0];
   EXPECT_EQ(ev.requester, t1.value());
   ASSERT_EQ(ev.victims.size(), 1u);
   EXPECT_EQ(engine_->metrics().partial_rollbacks +
@@ -274,8 +277,8 @@ TEST_F(EngineTest, RequesterPolicyRollsBackRequester) {
   ASSERT_TRUE(ta.ok());
   ASSERT_TRUE(tb.ok());
   ASSERT_TRUE(engine_->RunToCompletion().ok());
-  ASSERT_GE(engine_->deadlock_events().size(), 1u);
-  const auto& ev = engine_->deadlock_events()[0];
+  ASSERT_GE(deadlocks_.dumps().size(), 1u);
+  const auto& ev = deadlocks_.dumps()[0];
   EXPECT_EQ(ev.victims, std::vector<TxnId>{ev.requester});
   EXPECT_EQ(engine_->metrics().preemptions, 0u);
 }
@@ -287,13 +290,15 @@ TEST_F(EngineTest, YoungestAndOldestPolicies) {
     storage::EntityStore store;
     store.CreateMany(4, 0);
     Engine engine(&store, opt);
+    obs::CollectingDeadlockSink deadlocks;
+    engine.set_forensics(&deadlocks);
     auto ta = engine.Spawn(TwoLockProgram(EntityId(0), EntityId(1), 1, "a"));
     auto tb = engine.Spawn(TwoLockProgram(EntityId(1), EntityId(0), 2, "b"));
     ASSERT_TRUE(ta.ok());
     ASSERT_TRUE(tb.ok());
     ASSERT_TRUE(engine.RunToCompletion().ok());
-    ASSERT_GE(engine.deadlock_events().size(), 1u);
-    const auto& ev = engine.deadlock_events()[0];
+    ASSERT_GE(deadlocks.dumps().size(), 1u);
+    const auto& ev = deadlocks.dumps()[0];
     ASSERT_EQ(ev.victims.size(), 1u);
     if (kind == VictimPolicyKind::kYoungest) {
       EXPECT_EQ(ev.victims[0], tb.value());  // entered later
@@ -371,8 +376,8 @@ TEST_F(EngineTest, PreemptionCounterTracksNonRequesterVictims) {
   ASSERT_EQ(blocked.value(), StepOutcome::kBlocked);
   auto outcome = engine_->StepTxn(t1.value());  // t1 waits on 0 -> deadlock
   ASSERT_TRUE(outcome.ok());
-  ASSERT_EQ(engine_->deadlock_events().size(), 1u);
-  const auto& ev = engine_->deadlock_events()[0];
+  ASSERT_EQ(deadlocks_.dumps().size(), 1u);
+  const auto& ev = deadlocks_.dumps()[0];
   EXPECT_EQ(ev.requester, t1.value());
   ASSERT_EQ(ev.victims.size(), 1u);
   EXPECT_EQ(ev.victims[0], t0.value());  // cheaper victim preempted

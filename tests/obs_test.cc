@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "core/engine.h"
@@ -324,16 +323,6 @@ TEST(TraceExportTest, JsonLineShape) {
   EXPECT_EQ(core::TraceEventToJsonLine(e),
             "{\"kind\":\"rollback\",\"step\":42,\"txn\":3,\"entity\":null,"
             "\"pc\":12,\"target\":8,\"cost\":4}");
-}
-
-TEST(TraceExportTest, JsonlSinkWritesOneLinePerEvent) {
-  std::ostringstream out;
-  core::JsonlTraceSink sink(&out);
-  sink.OnEvent(MakeEvent(1));
-  sink.OnEvent(MakeEvent(2));
-  const std::string text = out.str();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-  EXPECT_NE(text.find("\"kind\":\"grant\""), std::string::npos);
 }
 
 TEST(TraceExportTest, ChromeTraceCarriesDeadlockInstant) {

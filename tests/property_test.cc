@@ -11,6 +11,7 @@
 
 #include "analysis/history.h"
 #include "core/engine.h"
+#include "obs/forensics.h"
 #include "sim/driver.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
@@ -208,27 +209,22 @@ TEST(OrderedPolicyPropertyTest, VictimsNeverOlderThanRequester) {
   opt.total_txns = 80;
   opt.seed = 3;
 
-  storage::EntityStore store;
-  store.CreateMany(opt.workload.num_entities, 100);
-  Engine engine(&store, opt.engine);
-  WorkloadGenerator gen(opt.workload, opt.seed);
-  std::uint64_t spawned = 0;
-  while (engine.metrics().commits < opt.total_txns) {
-    while (spawned < opt.total_txns &&
-           spawned - engine.metrics().commits < opt.concurrency) {
-      auto p = gen.Next();
-      ASSERT_TRUE(p.ok());
-      ASSERT_TRUE(engine.Spawn(std::move(p).value()).ok());
-      ++spawned;
+  obs::CollectingDeadlockSink deadlocks(
+      obs::CollectingDeadlockSink::kUnbounded);
+  opt.forensics = &deadlocks;
+  auto rep = sim::RunSimulation(opt);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  ASSERT_TRUE(rep->completed);
+  ASSERT_GT(rep->metrics.deadlocks, 0u);
+  ASSERT_EQ(deadlocks.dumps().size(), rep->metrics.deadlocks);
+  for (const obs::DeadlockDump& dump : deadlocks.dumps()) {
+    Timestamp requester_entry = 0;
+    for (const obs::DeadlockParticipant& p : dump.participants) {
+      if (p.is_requester) requester_entry = p.entry;
     }
-    auto stepped = engine.StepAny();
-    ASSERT_TRUE(stepped.ok());
-    ASSERT_TRUE(stepped.value().has_value());
-  }
-  for (const auto& ev : engine.deadlock_events()) {
-    for (TxnId v : ev.victims) {
-      if (v == ev.requester) continue;
-      EXPECT_GT(engine.EntryOf(v), engine.EntryOf(ev.requester))
+    for (const obs::DeadlockParticipant& p : dump.participants) {
+      if (!p.is_victim || p.is_requester) continue;
+      EXPECT_GT(p.entry, requester_entry)
           << "older transaction preempted under the ordered policy";
     }
   }

@@ -668,12 +668,12 @@ int RunFigure(const std::string& mode) {
     auto fig = sim::BuildFigure1(opt);
     if (!fig.ok()) return 1;
     (void)fig->TriggerDeadlock();
-    const auto& ev = fig->runner->engine().deadlock_events().at(0);
+    const auto& ev = fig->runner->deadlocks().at(0);
     std::printf("Figure 1: deadlock of %zu transactions; costs:",
-                ev.cycle_txns.size());
-    for (const auto& c : ev.candidates) {
-      std::printf(" T%llu=%llu", (unsigned long long)c.txn.value() + 1,
-                  (unsigned long long)c.cost);
+                ev.arcs.size());
+    for (const auto& p : ev.participants) {
+      std::printf(" T%llu=%llu", (unsigned long long)p.txn.value() + 1,
+                  (unsigned long long)p.cost);
     }
     std::printf("; victim T%llu (paper: T2, costs 4/6/5)\n",
                 (unsigned long long)ev.victims[0].value() + 1);
@@ -699,12 +699,12 @@ int RunFigure(const std::string& mode) {
     auto Report = [](auto fig) {
       if (!fig.ok()) return 1;
       (void)fig->TriggerDeadlock();
-      const auto& ev = fig->runner->engine().deadlock_events().at(0);
+      const auto& ev = fig->runner->deadlocks().at(0);
       std::printf("%zu cycles; victims:", ev.num_cycles);
       for (TxnId v : ev.victims) {
         std::printf(" T%llu", (unsigned long long)v.value() + 1);
       }
-      std::printf(" (cost %llu)\n", (unsigned long long)ev.total_cost);
+      std::printf(" (cost %llu)\n", (unsigned long long)obs::VictimCost(ev));
       return 0;
     };
     return mode == "figure3b" ? Report(sim::BuildFigure3b(opt))
