@@ -40,7 +40,10 @@ void ExportEngineMetrics(const Engine& engine, obs::MetricsRegistry* registry,
       ->Set(static_cast<std::int64_t>(engine.lock_manager().WaitingCount()));
 
   obs::Histogram* costs = registry->GetHistogram(obs::kRollbackCostOps, labels);
-  for (std::uint32_t c : engine.rollback_cost_samples()) costs->Record(c);
+  const std::vector<std::uint64_t>& counts = engine.rollback_cost_counts();
+  for (std::uint64_t c = 0; c < counts.size(); ++c) {
+    costs->Record(c, counts[c]);
+  }
 }
 
 void EngineMetricsExporter::Export(const Engine& engine,
@@ -89,12 +92,13 @@ void EngineMetricsExporter::Export(const Engine& engine,
   registry->GetGauge(obs::kWaitingTxns, labels)
       ->Set(static_cast<std::int64_t>(engine.lock_manager().WaitingCount()));
 
-  const std::vector<std::uint32_t>& samples = engine.rollback_cost_samples();
+  const std::vector<std::uint64_t>& counts = engine.rollback_cost_counts();
   obs::Histogram* costs = registry->GetHistogram(obs::kRollbackCostOps, labels);
-  for (std::size_t i = cost_samples_exported_; i < samples.size(); ++i) {
-    costs->Record(samples[i]);
+  costs_exported_.resize(counts.size(), 0);
+  for (std::uint64_t c = 0; c < counts.size(); ++c) {
+    costs->Record(c, counts[c] - costs_exported_[c]);
+    costs_exported_[c] = counts[c];
   }
-  cost_samples_exported_ = samples.size();
   last_ = m;
 }
 

@@ -8,7 +8,7 @@ namespace pardb::core {
 
 // Mirrors an engine's end-of-run aggregates into `registry` under the
 // canonical pardb_* names (counters for EngineMetrics, gauges for space
-// high-water marks and live transactions, and the per-rollback cost sample
+// high-water marks and live transactions, and the per-rollback cost table
 // as the step-valued histogram pardb_rollback_cost_ops). Call once per
 // engine per registry — values are added, not overwritten, so a repeated
 // call double-counts.
@@ -18,11 +18,9 @@ void ExportEngineMetrics(const Engine& engine, obs::MetricsRegistry* registry,
 // Repeatable variant for live scraping: remembers what it already exported
 // and advances each counter by the delta since the previous Export, so a
 // shard can publish its engine aggregates at every hub-snapshot boundary
-// and the totals stay exact (no double counting). Histogram samples are
-// exported incrementally too — rollback_cost_samples() is append-only (a
-// bounded sample retaining the first 65536 costs), so the next-index
-// cursor never re-records a sample. Gauges are overwritten as in the
-// one-shot export. One exporter per (engine, registry, labels) triple.
+// and the totals stay exact (no double counting). The rollback-cost table
+// is exported as per-cost deltas the same way. Gauges are overwritten as
+// in the one-shot export. One exporter per (engine, registry, labels) triple.
 class EngineMetricsExporter {
  public:
   // Exports the delta since the previous call (everything, on the first).
@@ -31,7 +29,7 @@ class EngineMetricsExporter {
 
  private:
   EngineMetrics last_;
-  std::size_t cost_samples_exported_ = 0;
+  std::vector<std::uint64_t> costs_exported_;  // cost -> rollbacks exported
 };
 
 }  // namespace pardb::core

@@ -64,7 +64,7 @@ struct SimOptions {
 
 struct SimReport {
   core::EngineMetrics metrics;
-  // Per-rollback lost-progress percentiles (bounded sample).
+  // Per-rollback lost-progress percentiles, over every rollback.
   core::CostDistribution rollback_costs;
   std::uint64_t committed = 0;
   // False when max_steps ran out before total_txns committed. The paper
